@@ -3,20 +3,23 @@
 The counting domain always excludes alpha = 0 and the zeros of f, matching
 the accounting that the sufficient-condition bounds are derived under.
 
-resolve_pair sweeps every admissible coefficient triple (a, b, c), a != 0,
-b^2 != ac, over the whole field.  The kernel vectorizes the (b, c) plane
-per a-value using precomputed Q x Q add/mul code tables and per-round
-survivor compression: round i probes f(alpha_i) for the still-unwitnessed
-f, exactly mirroring the sequential scan of the primitive-normal set in
-discrete-log order (fields too large for the tables take a per-(a, b)
-kernel with identical results).  Probes are counted identically to that
-scan, budget cuts land on deterministic a-block boundaries independent of
-worker count, and sweeps checkpoint to JSON for resume.
+resolve_pair settles every admissible triple (a, b, c), a != 0, b^2 != ac,
+without visiting each one.  With f = a g, g = x^2 + b'x + c' monic,
+admissibility is c' != b'^2, and f(alpha) is primitive exactly when
+g(alpha) != 0 and dlog(a) + dlog(g(alpha)) is coprime to N = q^m - 1, which
+depends on dlog(a) only modulo rad(N), the product of N's primes.  So the
+kernel sweeps the Q^2 - Q admissible monic g, probing the primitive-normal
+set in discrete-log order and keeping per g a bitset of the residues mod
+rad(N) witnessed so far; residues never witnessed expand to the bad
+triples (a, a b', a c').  Probes are counted as the plain per-triple scan
+counts them, budget cuts land on deterministic b'-block boundaries
+independent of worker count, and sweeps checkpoint to JSON for resume.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -28,8 +31,11 @@ from . import fqpoly, gf
 from .errors import SizeBudgetExceeded
 from .numtheory import factorize, prime_power_split
 
-PAIR_TABLE_LIMIT = 4096  # Q x Q code tables above this would be wasteful
-SWEEP_BLOCK = 8  # a-values per unit of work / budget granularity
+PAIR_TABLE_LIMIT = 4096  # Q x Q code tables above this would be wasteful; not swept
+SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
+# checkpoints from another kernel count sweep positions in other units
+SWEEP_KERNEL = "radical-residue-1"
+CHECKPOINT_KEYS = {"kernel", "q", "m", "sweep_position", "bad_quadratics", "probes_done"}
 
 
 @dataclass(frozen=True)
@@ -119,12 +125,12 @@ class SearchContext:
 
     def pair_tables(self):
         """(ADD, MUL) full code tables for the sweep kernel."""
+        t = self.tower
+        if t.Q > PAIR_TABLE_LIMIT:
+            raise SizeBudgetExceeded(
+                f"pair-sweep tables capped at {PAIR_TABLE_LIMIT} elements"
+            )
         if self._add_table is None:
-            t = self.tower
-            if t.Q > PAIR_TABLE_LIMIT:
-                raise SizeBudgetExceeded(
-                    f"pair-sweep tables capped at {PAIR_TABLE_LIMIT} elements"
-                )
             Q, N = t.Q, t.N
             digits = t.digits_all().astype(np.int16)
             pw = np.array(t._pw[: t.n], dtype=np.int32)
@@ -265,6 +271,7 @@ class PairReport:
     witnesses: list
     elapsed: float
     budget: int
+    # b' positions swept out of Q (names kept for CLI and JSON compatibility)
     sweep_position: int
     total_a: int
 
@@ -293,106 +300,91 @@ def _sweep_state(p, r, m):
     if state is None:
         tower = gf.build_extension(p, r, m)
         ctx = search_context(tower)
-        # b and c sweep order: zero first, then ascending discrete log
+        # b' and c' sweep order: zero first, then ascending discrete log
         order = np.concatenate(([0], tower.exp)).astype(np.int64)
-        state = (tower, ctx, order)
+        state = (tower, ctx, order, _residue_rows(ctx))
         _worker_state[key] = state
     return state
 
 
-def _sweep_block(args):
-    """Worker: sweep a-values [ia0, ia1); returns bads, probes, checked, samples.
+def _residue_rows(ctx):
+    """(rad, rows, lres) for the cover bitsets over Z/rad, rad = rad(N).
 
-    The flat kernel vectorizes the whole (b, c) plane per a through Q x Q
-    code tables; fields too large for those fall back to a per-(a, b)
-    kernel over c-vectors with identical results and probe counts.
+    Bit x of rows[l] is set iff x + l is coprime to rad; lres[code] is
+    dlog(code) mod rad, and lres[0] = rad picks the empty row (g(alpha) = 0).
     """
-    p, r, m, ia0, ia1, want_samples = args
-    tower, ctx, order = _sweep_state(p, r, m)
-    if tower.Q <= PAIR_TABLE_LIMIT:
-        return _sweep_block_flat(tower, ctx, order, ia0, ia1, want_samples)
-    return _sweep_block_rowwise(tower, ctx, order, ia0, ia1, want_samples)
+    rad = math.prod(ctx.primes)
+    x = np.arange(rad, dtype=np.int32)
+    bits = np.zeros((rad + 1, 64 * -(-rad // 64)), dtype=bool)
+    bits[:rad, :rad] = np.gcd(x[:, None] + x, rad) == 1
+    lres = ctx.tower.log % rad
+    lres[0] = rad
+    return rad, np.packbits(bits, axis=1, bitorder="little").view("<u8"), lres
 
 
-def _sweep_block_flat(tower, ctx, order, ia0, ia1, want_samples):
+def _sweep_block(args):
+    """Worker: sweep b'-positions [ib0, ib1); returns bads, probes, checked, samples.
+
+    Each admissible monic g = x^2 + b'x + c' (c' != b'^2) carries a cover:
+    the residues x mod rad(N) for which some alpha probed so far makes
+    a g(alpha) primitive whenever dlog(a) = x (mod rad).  Round i ORs in
+    the cover row of g(alpha_i) and drops the g whose cover is full; the
+    residues left uncovered after the last round expand to the bad triples
+    (a, a b', a c').  Each round counts the (f, alpha) probes of the plain
+    scan: N / rad for every uncovered residue of every surviving g.
+    """
+    p, r, m, ib0, ib1, want_samples = args
+    tower, ctx, order, (rad, rows, lres) = _sweep_state(p, r, m)
     add, mul = ctx.pair_tables()
-    Q = tower.Q
+    Q, N = tower.Q, tower.N
+    per_residue = N // rad
     pn = ctx.pn_codes
     pn_sq = ctx.sq[pn]
-    prim = ctx.prim_mask
-    B0 = np.repeat(order, Q)
-    C0 = np.tile(order, Q)
-    bads = []
+    B = np.repeat(order[ib0:ib1], Q)
+    C = np.tile(order, ib1 - ib0)
+    adm = C != ctx.sq[B]
+    bb = B[adm]
+    cc = C[adm]
+    checked = len(bb) * N
+    cover = np.zeros((len(bb), rows.shape[1]), dtype=rows.dtype)
+    uncovered = np.full(len(bb), rad)
     samples = []
     probes = 0
-    checked = 0
-    for ia in range(ia0, ia1):
-        a = int(tower.exp[ia])
-        ainv = int(tower.exp[(-ia) % tower.N])
-        asq = mul[a][pn_sq]
-        c0 = mul[ainv][mul[order, order]]  # the one inadmissible c per b
-        adm = C0 != np.repeat(c0, Q)
-        bb = B0[adm]
-        cc = C0[adm]
-        checked += len(bb)
-        for i in range(len(pn)):
-            fv = add[add[int(asq[i])][mul[int(pn[i])][bb]], cc]
-            pm = prim[fv]
-            probes += len(bb)
-            if want_samples and len(samples) < want_samples and pm.any():
-                j = int(np.argmax(pm))
-                samples.append(
-                    (a, int(bb[j]), int(cc[j]), int(pn[i]), int(fv[j]))
-                )
-            keep = ~pm
-            if not keep.any():
-                bb = cc = None
-                break
-            bb = bb[keep]
-            cc = cc[keep]
-        if bb is not None and len(bb):
-            bads.extend((a, int(b), int(c)) for b, c in zip(bb, cc))
-    return ia1 - ia0, bads, probes, checked, samples
-
-
-def _sweep_block_rowwise(tower, ctx, order, ia0, ia1, want_samples):
-    pn = ctx.pn_codes
-    pn_sq = ctx.sq[pn]
-    prim = ctx.prim_mask
-    t = len(pn)
+    for i in range(len(pn)):
+        if not len(bb):
+            break
+        probes += per_residue * int(uncovered.sum())
+        gv = add[add[int(pn_sq[i])][mul[int(pn[i])][bb]], cc]
+        hit = rows[lres[gv]]
+        if want_samples and len(samples) < want_samples:
+            fresh = hit & ~cover
+            j = int(np.argmax(fresh.any(axis=1)))
+            if fresh[j].any():
+                # the first residue x newly witnessed; a = exp[x] has dlog x
+                x = int(np.argmax(np.unpackbits(fresh[j].view(np.uint8), bitorder="little")))
+                a = int(tower.exp[x])
+                f = (a, int(mul[a][bb[j]]), int(mul[a][cc[j]]))
+                samples.append((*f, int(pn[i]), int(mul[a][gv[j]])))
+        cover |= hit
+        uncovered = rad - np.bitwise_count(cover).sum(axis=1, dtype=np.int64)
+        keep = uncovered > 0
+        bb = bb[keep]
+        cc = cc[keep]
+        cover = cover[keep]
+        uncovered = uncovered[keep]
     bads = []
-    samples = []
-    probes = 0
-    checked = 0
-    for ia in range(ia0, ia1):
-        a = int(tower.exp[ia])
-        ainv = int(tower.exp[(-ia) % tower.N])
-        asq = tower.mul_codes_vec(pn_sq, a)
-        for b in order:
-            b = int(b)
-            u = tower.add_codes_vec(asq, tower.mul_codes_vec(pn, b))
-            c0 = tower.mul_codes(ainv, tower.mul_codes(b, b))
-            cc = order[order != c0]
-            checked += len(cc)
-            for i in range(t):
-                fv = tower.add_codes_vec(int(u[i]), cc)
-                pm = prim[fv]
-                probes += len(cc)
-                if want_samples and len(samples) < want_samples and pm.any():
-                    j = int(np.argmax(pm))
-                    samples.append((a, b, int(cc[j]), int(pn[i]), int(fv[j])))
-                keep = ~pm
-                if not keep.any():
-                    cc = None
-                    break
-                cc = cc[keep]
-            if cc is not None and len(cc):
-                bads.extend((a, b, int(c)) for c in cc)
-    return ia1 - ia0, bads, probes, checked, samples
+    if len(bb):
+        clear = np.unpackbits(cover.view(np.uint8), axis=1, bitorder="little")[:, :rad] == 0
+        gi, x = np.nonzero(clear)
+        a = tower.exp[(x[:, None] + rad * np.arange(per_residue)).ravel()]
+        gi = np.repeat(gi, per_residue)
+        bads = list(zip(a.tolist(), mul[a, bb[gi]].tolist(), mul[a, cc[gi]].tolist()))
+    return ib1 - ib0, bads, probes, checked, samples
 
 
 def _write_checkpoint(path, q, m, sweep_position, bad, probes):
     payload = {
+        "kernel": SWEEP_KERNEL,
         "q": q,
         "m": m,
         "sweep_position": sweep_position,
@@ -411,7 +403,9 @@ def _read_checkpoint(path, q, m):
             data = json.load(fh)
     except (FileNotFoundError, json.JSONDecodeError):
         return None
-    if data.get("q") != q or data.get("m") != m:
+    if not isinstance(data, dict) or not CHECKPOINT_KEYS <= set(data):
+        return None
+    if data["kernel"] != SWEEP_KERNEL or data["q"] != q or data["m"] != m:
         return None
     return data
 
@@ -427,41 +421,39 @@ def resolve_pair(
 ) -> PairReport:
     """Definitively resolve the pair (q, m) by full coefficient sweep.
 
-    Scans every admissible f = (a, b, c), a in F*_{q^m}, b, c in F_{q^m},
-    b^2 != ac, probing the primitive-normal set in dlog order until f has a
-    witness; f with no witness is recorded as bad.  The budget counts
-    (f, alpha) primitivity probes; exhaustion is a status, not an error.
+    Decides every admissible f = (a, b, c), a in F*_{q^m}, b, c in F_{q^m},
+    b^2 != ac, as if probing the primitive-normal set in dlog order until f
+    has a witness; f with no witness is recorded as bad.  The sweep runs
+    over monic g = f / a in blocks of b' (see the module docstring for why
+    that loses nothing).  The budget counts the (f, alpha) primitivity
+    probes of the plain scan; exhaustion is a status, not an error.  Fields
+    above PAIR_TABLE_LIMIT raise SizeBudgetExceeded before any sweeping.
     """
     p, r = prime_power_split(q)
-    tower = gf.build_extension(p, r, m)
-    ctx = search_context(tower)
-    if tower.Q <= PAIR_TABLE_LIMIT:
-        ctx.pair_tables()  # build before forking so workers inherit them
-    else:
-        tower.digits_all()  # rowwise kernel dependency, same reason
+    tower, ctx = _sweep_state(p, r, m)[:2]
+    ctx.pair_tables()  # refuses oversized fields; built before forking so workers inherit it
     start = time.monotonic()
-    N = tower.N
+    Q = tower.Q
 
-    start_ia = 0
+    start_ib = 0
     bad = []
     probes = 0
     checked = 0
     if checkpoint_path:
         ck = _read_checkpoint(checkpoint_path, q, m)
         if ck:
-            start_ia = ck["sweep_position"]
+            start_ib = ck["sweep_position"]
             bad = [tuple(t) for t in ck["bad_quadratics"]]
             probes = ck["probes_done"]
-            # quadratics_checked for the resumed range is recomputed fresh;
-            # checked so far is reconstructed as admissible-per-a * a-count
-            checked = start_ia * (tower.Q * tower.Q - tower.Q)
+            # each b' position holds Q - 1 admissible monic g, each g N triples
+            checked = start_ib * (Q - 1) * tower.N
 
     blocks = [
-        (p, r, m, ia, min(ia + SWEEP_BLOCK, N), witness_samples)
-        for ia in range(start_ia, N, SWEEP_BLOCK)
+        (p, r, m, ib, min(ib + SWEEP_BLOCK, Q), witness_samples)
+        for ib in range(start_ib, Q, SWEEP_BLOCK)
     ]
     samples = []
-    sweep_position = start_ia
+    sweep_position = start_ib
     exhausted = False
     if threads is None:
         threads = os.cpu_count() or 1
@@ -479,7 +471,7 @@ def resolve_pair(
         sweep_position = blocks[block_idx][4]
         if checkpoint_path and (block_idx + 1) % checkpoint_every == 0:
             _write_checkpoint(checkpoint_path, q, m, sweep_position, bad, probes)
-        if probes >= budget and sweep_position < N:
+        if probes >= budget and sweep_position < Q:
             exhausted = True
             return False
         return True
@@ -500,7 +492,7 @@ def resolve_pair(
     if exhausted:
         status = "budget_exhausted"
     else:
-        sweep_position = N
+        sweep_position = Q
         status = "exception_found" if bad else "resolved_no_exception"
     if checkpoint_path:
         _write_checkpoint(checkpoint_path, q, m, sweep_position, bad, probes)
@@ -526,7 +518,7 @@ def resolve_pair(
         elapsed=time.monotonic() - start,
         budget=budget,
         sweep_position=sweep_position,
-        total_a=N,
+        total_a=Q,
     )
 
 

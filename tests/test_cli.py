@@ -119,6 +119,12 @@ def test_budget_error_exit_3(capsys):
     assert code == 3
 
 
+def test_resolve_pair_oversized_exit_3(capsys):
+    # Q = 3^8 = 6561 is above the pair-sweep table cap
+    code = main(["--json", "--threads", "1", "resolve-pair", "--q", "3", "--m", "8"])
+    assert code == 3
+
+
 def test_factor_poly_command(capsys):
     code, out = run_cli(capsys, "--json", "factor-poly", "--q", "3", "--m", "9")
     payload = json.loads(out)

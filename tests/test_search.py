@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffpn.errors import SizeBudgetExceeded
 from ffpn.fqpoly import factor_xm1, poly_stats
 from ffpn.gf import build_extension
 from ffpn.numtheory import divisors_of, factorize, multiplicative_stats
@@ -205,7 +206,7 @@ def test_resolve_pair_budget_and_resume(tmp_path):
     assert 0 < partial.sweep_position < partial.total_a
     with open(ck, encoding="utf-8") as fh:
         data = json.load(fh)
-    assert set(data) == {"q", "m", "sweep_position", "bad_quadratics", "probes_done"}
+    assert set(data) == {"kernel", "q", "m", "sweep_position", "bad_quadratics", "probes_done"}
     assert data["sweep_position"] == partial.sweep_position
     resumed = resolve_pair(3, 3, threads=1, checkpoint_path=ck)
     full = resolve_pair(3, 3, threads=1)
@@ -257,15 +258,81 @@ def test_quadratic_orbit_structure():
         assert quadratic_orbit(t, a, b, c) == orb
 
 
-def test_rowwise_fallback_matches_flat(monkeypatch):
+def test_resolve_pair_refuses_oversized_field_before_sweeping(monkeypatch, tmp_path):
     import ffpn.search as search_mod
 
-    fast = resolve_pair(3, 2, threads=1)
+    def no_sweep(args):
+        raise AssertionError("swept a field above the table cap")
+
     monkeypatch.setattr(search_mod, "PAIR_TABLE_LIMIT", 8)
-    search_mod._worker_state.clear()
-    slow = resolve_pair(3, 2, threads=1)
-    search_mod._worker_state.clear()
-    assert slow.bad_quadratics == fast.bad_quadratics
-    assert slow.probes_done == fast.probes_done
-    assert slow.quadratics_checked == fast.quadratics_checked
-    assert slow.status == fast.status
+    monkeypatch.setattr(search_mod, "_sweep_block", no_sweep)
+    ck = tmp_path / "ck.json"
+    with pytest.raises(SizeBudgetExceeded):
+        resolve_pair(3, 2, threads=1, checkpoint_path=str(ck))
+    assert not ck.exists()
+
+
+def test_resolve_pair_ignores_checkpoint_of_another_kernel(tmp_path):
+    # written before checkpoints carried a kernel id: position 3 counted
+    # a-values, so resuming it as a b' position would drop bad quadratics
+    ck = str(tmp_path / "ck.json")
+    stale = {"q": 3, "m": 3, "sweep_position": 3, "bad_quadratics": [], "probes_done": 1}
+    for payload in (stale, dict(stale, kernel="flat")):
+        with open(ck, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        rep = resolve_pair(3, 3, threads=1, checkpoint_path=ck)
+        assert rep.status == "exception_found" and len(rep.bad_quadratics) == 31
+        assert rep.probes_done == 39555
+
+
+def _quad_value(t, a, b, c, x):
+    return t.add_codes(
+        t.add_codes(t.mul_codes(a, t.mul_codes(x, x)), t.mul_codes(b, x)), c
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_resolve_pair_equals_unreduced_scan(m):
+    # every admissible (a, b, c), scanned one by one by find_witness
+    t = build_extension(3, 1, m)
+    pn = [int(x) for x in search_context(t).pn_codes]
+    bad = set()
+    depth = 0
+    for a in range(1, t.Q):
+        for b in range(t.Q):
+            for c in range(t.Q):
+                if t.mul_codes(b, b) == t.mul_codes(a, c):
+                    continue
+                w = find_witness(t, (a, b, c))
+                if w is None:
+                    bad.add((a, b, c))
+                    depth += len(pn)
+                else:
+                    depth += pn.index(w.code) + 1
+    rep = resolve_pair(3, m, threads=1)
+    assert set(rep.bad_quadratics) == bad
+    assert rep.probes_done == depth
+
+
+def test_resolve_pair_probe_counts_frozen():
+    # values of the per-triple scan, before the monic-g reduction
+    for (q, m), (status, nbad, probes) in {
+        (3, 4): ("exception_found", 48, 1296432),
+        (9, 2): ("resolved_no_exception", 0, 1295440),
+    }.items():
+        rep = resolve_pair(q, m, threads=1)
+        assert (rep.status, len(rep.bad_quadratics), rep.probes_done) == (status, nbad, probes)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_witness_samples_are_witnesses(m):
+    t = build_extension(3, 1, m)
+    ctx = search_context(t)
+    rep = resolve_pair(3, m, threads=1)
+    assert rep.witnesses
+    for w in rep.witnesses:
+        a, b, c = w["f"]
+        QuadraticSpec.from_codes(t, a, b, c)  # admissible
+        assert w["alpha"] in ctx.pn_codes
+        assert _quad_value(t, a, b, c, w["alpha"]) == w["f_alpha"]
+        assert ctx.prim_mask[w["f_alpha"]]
