@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fqpoly, gf
 from .errors import SizeBudgetExceeded
@@ -33,6 +34,7 @@ from .numtheory import factorize, prime_power_split
 
 PAIR_TABLE_LIMIT = 4096  # Q x Q code tables above this would be wasteful; not swept
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
+SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in-process: a pool costs more than them
 # checkpoints from another kernel count sweep positions in other units
 SWEEP_KERNEL = "radical-residue-1"
 CHECKPOINT_KEYS = {"kernel", "q", "m", "sweep_position", "bad_quadratics", "probes_done"}
@@ -105,6 +107,7 @@ class SearchContext:
         self.sq[tower.exp] = tower.exp[(2 * np.arange(N)) % N]
         self._add_table = None
         self._mul_table = None
+        self._residue_rows = None
 
     def prime_mask_of(self, e):
         if self.tower.N % e != 0:
@@ -144,6 +147,25 @@ class SearchContext:
             self._add_table = add
             self._mul_table = mul
         return self._add_table, self._mul_table
+
+    def residue_rows(self):
+        """(rad, rows, lres) for the sweep's cover bitsets over Z/rad, rad = rad(N).
+
+        Bit x of rows[l] is set iff x + l is coprime to rad (a window of one
+        coprimality vector); lres[code] = dlog(code) mod rad, lres[0] = rad
+        picks the empty row (g(alpha) = 0).
+        """
+        if self._residue_rows is None:
+            rad = math.prod(self.primes)
+            coprime = np.gcd(np.arange(2 * rad), rad) == 1
+            rows = np.zeros((rad + 1, 8 * -(-rad // 64)), dtype=np.uint8)
+            rows[:rad, : -(-rad // 8)] = np.packbits(
+                sliding_window_view(coprime, rad)[:rad], axis=1, bitorder="little"
+            )
+            lres = self.tower.log % rad
+            lres[0] = rad
+            self._residue_rows = (rad, rows.view("<u8"), lres)
+        return self._residue_rows
 
 
 _ctx_cache = {}
@@ -291,35 +313,11 @@ class PairReport:
         }
 
 
-_worker_state = {}
-
-
-def _sweep_state(p, r, m):
-    key = (p, r, m)
-    state = _worker_state.get(key)
-    if state is None:
-        tower = gf.build_extension(p, r, m)
-        ctx = search_context(tower)
-        # b' and c' sweep order: zero first, then ascending discrete log
-        order = np.concatenate(([0], tower.exp)).astype(np.int64)
-        state = (tower, ctx, order, _residue_rows(ctx))
-        _worker_state[key] = state
-    return state
-
-
-def _residue_rows(ctx):
-    """(rad, rows, lres) for the cover bitsets over Z/rad, rad = rad(N).
-
-    Bit x of rows[l] is set iff x + l is coprime to rad; lres[code] is
-    dlog(code) mod rad, and lres[0] = rad picks the empty row (g(alpha) = 0).
-    """
-    rad = math.prod(ctx.primes)
-    x = np.arange(rad, dtype=np.int32)
-    bits = np.zeros((rad + 1, 64 * -(-rad // 64)), dtype=bool)
-    bits[:rad, :rad] = np.gcd(x[:, None] + x, rad) == 1
-    lres = ctx.tower.log % rad
-    lres[0] = rad
-    return rad, np.packbits(bits, axis=1, bitorder="little").view("<u8"), lres
+def _sweep_context(p, r, m):
+    ctx = search_context(gf.build_extension(p, r, m))
+    ctx.pair_tables()  # first: it refuses fields above PAIR_TABLE_LIMIT
+    ctx.residue_rows()  # (rad(N) + 1) x rad(N) bits
+    return ctx
 
 
 def _sweep_block(args):
@@ -334,8 +332,12 @@ def _sweep_block(args):
     scan: N / rad for every uncovered residue of every surviving g.
     """
     p, r, m, ib0, ib1, want_samples = args
-    tower, ctx, order, (rad, rows, lres) = _sweep_state(p, r, m)
+    ctx = _sweep_context(p, r, m)
+    tower = ctx.tower
     add, mul = ctx.pair_tables()
+    rad, rows, lres = ctx.residue_rows()
+    # b' and c' sweep order: zero first, then ascending discrete log
+    order = np.concatenate(([0], tower.exp)).astype(np.int64)
     Q, N = tower.Q, tower.N
     per_residue = N // rad
     pn = ctx.pn_codes
@@ -427,11 +429,12 @@ def resolve_pair(
     over monic g = f / a in blocks of b' (see the module docstring for why
     that loses nothing).  The budget counts the (f, alpha) primitivity
     probes of the plain scan; exhaustion is a status, not an error.  Fields
-    above PAIR_TABLE_LIMIT raise SizeBudgetExceeded before any sweeping.
+    above PAIR_TABLE_LIMIT raise SizeBudgetExceeded before any sweeping, and
+    fields with fewer than SWEEP_POOL_MIN_G monic g sweep in-process.
     """
     p, r = prime_power_split(q)
-    tower, ctx = _sweep_state(p, r, m)[:2]
-    ctx.pair_tables()  # refuses oversized fields; built before forking so workers inherit it
+    # tables are built before forking so workers inherit them
+    tower = _sweep_context(p, r, m).tower
     start = time.monotonic()
     Q = tower.Q
 
@@ -457,6 +460,8 @@ def resolve_pair(
     exhausted = False
     if threads is None:
         threads = os.cpu_count() or 1
+    if Q * Q < SWEEP_POOL_MIN_G:
+        threads = 1
     threads = max(1, min(threads, len(blocks) or 1))
 
     def consume(result, block_idx):

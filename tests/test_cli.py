@@ -123,6 +123,9 @@ def test_resolve_pair_oversized_exit_3(capsys):
     # Q = 3^8 = 6561 is above the pair-sweep table cap
     code = main(["--json", "--threads", "1", "resolve-pair", "--q", "3", "--m", "8"])
     assert code == 3
+    # F_{27^3}: rad(N) = 19682, so residue rows built before the refusal would take GBs
+    code = main(["--json", "--threads", "1", "resolve-pair", "--q", "27", "--m", "3"])
+    assert code == 3
 
 
 def test_factor_poly_command(capsys):

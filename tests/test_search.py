@@ -190,6 +190,16 @@ def test_twelve_f3_quadratics_on_f27():
     assert missing == [(1, 1, 2)]
 
 
+def test_resolve_pair_pool_matches_in_process(monkeypatch):
+    import ffpn.search as search_mod
+
+    # small fields sweep in-process whatever `threads` says; force the pool
+    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
+    r1 = resolve_pair(3, 3, threads=1)
+    r2 = resolve_pair(3, 3, threads=2)
+    assert r1.to_dict() | {"elapsed": 0} == r2.to_dict() | {"elapsed": 0}
+
+
 def test_resolve_pair_deterministic_and_idempotent():
     r1 = resolve_pair(3, 2, threads=1)
     r2 = resolve_pair(3, 2, threads=2)
@@ -261,11 +271,13 @@ def test_quadratic_orbit_structure():
 def test_resolve_pair_refuses_oversized_field_before_sweeping(monkeypatch, tmp_path):
     import ffpn.search as search_mod
 
-    def no_sweep(args):
+    def no_sweep(*args):
         raise AssertionError("swept a field above the table cap")
 
     monkeypatch.setattr(search_mod, "PAIR_TABLE_LIMIT", 8)
     monkeypatch.setattr(search_mod, "_sweep_block", no_sweep)
+    # the rad(N) x rad(N) residue rows must not be sized before the refusal
+    monkeypatch.setattr(search_mod.SearchContext, "residue_rows", no_sweep)
     ck = tmp_path / "ck.json"
     with pytest.raises(SizeBudgetExceeded):
         resolve_pair(3, 2, threads=1, checkpoint_path=str(ck))
