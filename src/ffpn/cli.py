@@ -334,7 +334,15 @@ def build_parser():
     s = sub.add_parser("resolve-pair", help="full coefficient sweep for (q, m)")
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--budget", type=int, default=10**10)
+    s.add_argument(
+        "--budget",
+        type=int,
+        default=search.RESOLVE_BUDGET,
+        help="probe budget; a probe is one (f, alpha) primitivity test of a "
+        "plain scan trying each f's primitive-normal alpha in dlog order up to "
+        "its first witness; a whole sweep of Q = 2187, (3,7) or (2187,1), counts 2.09e10 "
+        "(default %(default)s)",
+    )
     s.add_argument("--checkpoint", help="JSON checkpoint path (resumable)")
     s.set_defaults(func=cmd_resolve_pair)
 

@@ -285,12 +285,6 @@ class PolyFactorization:
     def degrees(self):
         return [f.degree for f in self.factors]
 
-    def product_of_distinct(self):
-        out = poly_one(self.field)
-        for f in self.factors:
-            out = out * f
-        return out
-
     def divisors(self):
         """All monic divisors of x^m - 1 as (poly, exponent tuple), by degree."""
         items = [(poly_one(self.field), (0,) * len(self.factors))]

@@ -34,6 +34,8 @@ from .numtheory import factorize, prime_power_split
 
 PAIR_TABLE_LIMIT = 4096  # Q x Q code tables above this would be wasteful; not swept
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
+# plain-scan probes; the largest fields under PAIR_TABLE_LIMIT, (3,7) and (2187,1), need 2.09e10
+RESOLVE_BUDGET = 10**11
 SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in-process: a pool costs more than them
 # checkpoints from another kernel count sweep positions in other units
 SWEEP_KERNEL = "radical-residue-1"
@@ -59,10 +61,6 @@ class QuadraticSpec:
     @classmethod
     def from_codes(cls, tower, a, b, c):
         return cls(tower.element(a), tower.element(b), tower.element(c))
-
-    @property
-    def discriminant_ok(self):
-        return True
 
     def codes(self):
         return (self.a.code, self.b.code, self.c.code)
@@ -415,7 +413,7 @@ def _read_checkpoint(path, q, m):
 def resolve_pair(
     q,
     m,
-    budget=10**10,
+    budget=RESOLVE_BUDGET,
     threads=None,
     checkpoint_path=None,
     checkpoint_every=64,
@@ -427,10 +425,15 @@ def resolve_pair(
     b^2 != ac, as if probing the primitive-normal set in dlog order until f
     has a witness; f with no witness is recorded as bad.  The sweep runs
     over monic g = f / a in blocks of b' (see the module docstring for why
-    that loses nothing).  The budget counts the (f, alpha) primitivity
-    probes of the plain scan; exhaustion is a status, not an error.  Fields
-    above PAIR_TABLE_LIMIT raise SizeBudgetExceeded before any sweeping, and
-    fields with fewer than SWEEP_POOL_MIN_G monic g sweep in-process.
+    that loses nothing).  The budget counts probes of the plain per-triple
+    scan, not kernel work: one probe is one (f, alpha) primitivity test,
+    each f taking the primitive-normal alpha in dlog order up to its first
+    witness, or all of them if it has none.  The whole sweeps of (3,7) and
+    (2187,1) count 20,921,201,317 and 20,922,951,606 probes, so the default
+    lets every field under PAIR_TABLE_LIMIT finish; exhaustion is a status,
+    not an error.  Fields above PAIR_TABLE_LIMIT raise SizeBudgetExceeded
+    before any sweeping, and fields with fewer than SWEEP_POOL_MIN_G monic g
+    sweep in-process.
     """
     p, r = prime_power_split(q)
     # tables are built before forking so workers inherit them

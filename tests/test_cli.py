@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
-from ffpn.cli import main
+from ffpn.cli import build_parser, main
+from ffpn.search import resolve_pair
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,14 @@ def test_resolve_pair_oversized_exit_3(capsys):
     # F_{27^3}: rad(N) = 19682, so residue rows built before the refusal would take GBs
     code = main(["--json", "--threads", "1", "resolve-pair", "--q", "27", "--m", "3"])
     assert code == 3
+
+
+def test_resolve_pair_default_budget_finishes_3_7():
+    cli_default = build_parser().parse_args(["resolve-pair", "--q", "3", "--m", "7"]).budget
+    api_default = inspect.signature(resolve_pair).parameters["budget"].default
+    # probes_done of the whole (2187,1) sweep; (3,7) counts 20,921,201,317.  Q = 2187
+    # is the largest field under PAIR_TABLE_LIMIT
+    assert cli_default == api_default > 20_922_951_606
 
 
 def test_factor_poly_command(capsys):

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from ffpn import gf
 from ffpn.errors import NotPrime, SizeBudgetExceeded, ZeroElement
 from ffpn.gf import (
+    FieldTower,
     build_extension,
     discrete_log,
     fe_pow,
@@ -239,3 +242,55 @@ def test_element_operators():
     assert a + 0 == a and a * 1 == a
     with pytest.raises(ZeroElement):
         a / t.element(0)
+
+
+def _scalar_chain(p, r, m):
+    """exp/log by one scalar mul_codes per power, on a table-free tower."""
+    t = T(p, r, m, tables="off")
+    g = t.find_generator_code()
+    exp = np.zeros(t.N, dtype=np.int64)
+    log = np.full(t.Q, -1, dtype=np.int64)
+    cur = 1
+    for k in range(t.N):
+        exp[k] = cur
+        log[cur] = k
+        cur = t.mul_codes(cur, g)
+    assert cur == 1
+    return exp, log
+
+
+def _assert_same_tables(t, exp, log):
+    assert t.exp.dtype == np.int64 and t.log.dtype == np.int64
+    assert t.exp.tobytes() == exp.tobytes()
+    assert t.log.tobytes() == log.tobytes()
+
+
+@pytest.mark.parametrize(
+    "p,r,m",
+    [
+        (2, 1, 1), (2, 1, 8), (2, 2, 4), (2, 4, 2), (2, 8, 1),
+        (3, 1, 1), (3, 1, 6), (3, 2, 3), (3, 3, 2), (3, 6, 1),
+        (5, 1, 4), (5, 2, 2), (5, 4, 1),
+        (7, 1, 3), (7, 3, 1),
+    ],
+)
+def test_block_table_build_equals_scalar_chain(p, r, m):
+    _assert_same_tables(FieldTower(p, r, m, build_tables=True), *_scalar_chain(p, r, m))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
+@pytest.mark.parametrize("p,r,m", [(3, 1, 6), (2, 3, 3), (5, 1, 4)])
+def test_block_table_build_many_and_ragged_blocks(monkeypatch, block, p, r, m):
+    # N = 728, 511, 624: block 5 leaves a ragged last block on all three
+    monkeypatch.setattr(gf, "_TABLE_BLOCK", block)
+    _assert_same_tables(FieldTower(p, r, m, build_tables=True), *_scalar_chain(p, r, m))
+
+
+@pytest.mark.parametrize("p,r,m,k", [(3, 1, 4, 2), (2, 1, 6, 3), (5, 1, 2, 2), (7, 2, 1, 3)])
+def test_table_build_refuses_non_primitive_generator(monkeypatch, p, r, m, k):
+    # k divides N, so g^k has order N / k
+    t = T(p, r, m, tables="off")
+    gk = t.pow_code(t.find_generator_code(), k)
+    monkeypatch.setattr(FieldTower, "find_generator_code", lambda self, cache=None: gk)
+    with pytest.raises(ArithmeticError, match="not primitive"):
+        FieldTower(p, r, m, build_tables=True)
