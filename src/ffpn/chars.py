@@ -7,8 +7,13 @@ psi_delta with psi_delta(alpha) = exp(2*pi*i*Tr(delta*alpha)/p); the
 canonical psi_0 is delta = 1 (the prime-field character lifted through the
 absolute trace).
 
-Sums accumulate through math.fsum on the real and imaginary parts, so a sum
-with up to 3^10 unit-modulus terms carries at most one ulp of rounding.
+Every character is a cached table over all Q codes, so a sum is one numpy
+product of table rows.  Sums accumulate through math.fsum on the real and
+imaginary parts, which is correctly rounded: the result depends only on
+the terms, not on their order or grouping.  That is what lets weil_audit
+batch its work (each quadratic evaluated once, all of an f-block's terms
+formed in one product per character triple, one fsum per row) and still
+return exactly the floats of one char_sum per (triple, f).
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from .errors import SizeBudgetExceeded, ZeroElement
 from .numtheory import divisors_of, factorize, moebius, multiplicative_stats
 
 ENUM_BUDGET = 3**10
+_WEIL_BLOCK_TERMS = 1 << 18  # f rows x Q terms per batched block of the Weil audit
+# smaller audits run in-process: on 2 vCPUs a 2-worker pool first pays off
+# near 6e5 terms (F81, 10 quadratics: 0.129 s alone, 0.121 s on 2 workers)
+_WEIL_POOL_MIN_TERMS = 1 << 19
 
 _roots_cache = {}
 
@@ -115,11 +124,10 @@ class _CharContext:
         for _ in range(tower.n - 1):
             v = frob_p[v]
             acc = tower.add_codes_vec(acc, v)
-        assert acc.max() < p
+        if acc.max() >= p:
+            raise ArithmeticError(f"absolute trace left F_{p} in F_{Q}")
         self.trace_abs = acc
         self.psi0_vals = _roots_of_unity(p)[acc]
-        self.sq = np.zeros(Q, dtype=np.int64)
-        self.sq[tower.exp] = tower.exp[(2 * np.arange(N)) % N]
         self._mult_tables = {}
         self._add_tables = {}
         self._delta_orders = None
@@ -165,7 +173,8 @@ class _CharContext:
                     ok &= tr == 0
                 newly = ok & (orders < 0)
                 orders[newly] = di
-            assert orders.min() >= 0
+            if orders.min() < 0:
+                raise ArithmeticError("some additive character has no F_q-order")
             self._delta_orders = orders
         return self._delta_orders
 
@@ -224,16 +233,6 @@ def _quad_codes(tower, f):
     return f.a.code, f.b.code, f.c.code
 
 
-def quad_values(tower, f):
-    """f(alpha) codes for every alpha code, vectorized."""
-    ctx = char_context(tower)
-    a, b, c = _quad_codes(tower, f)
-    codes = np.arange(tower.Q, dtype=np.int64)
-    av = tower.mul_codes_vec(ctx.sq, a)
-    bv = tower.mul_codes_vec(codes, b)
-    return tower.add_codes_vec(tower.add_codes_vec(av, bv), c)
-
-
 def char_sum(chi1: MultCharacter, chi2: MultCharacter, psi: AddCharacter, f) -> complex:
     """S = sum over all alpha of chi1(alpha) chi2(f(alpha)) psi(alpha).
 
@@ -242,7 +241,7 @@ def char_sum(chi1: MultCharacter, chi2: MultCharacter, psi: AddCharacter, f) -> 
     """
     t = chi1.tower
     ctx = char_context(t)
-    fv = quad_values(t, f)
+    fv = t.quad_values(*_quad_codes(t, f))
     terms = (
         ctx.mult_table(chi1.d, chi1.j)
         * ctx.mult_table(chi2.d, chi2.j)[fv]
@@ -356,7 +355,8 @@ def _divisor_exponents(tp, g: fqpoly.FqPolynomial):
             rem = quot
             e += 1
         exps.append(e)
-    assert rem.is_one(), "g must divide x^m - 1"
+    if not rem.is_one():
+        raise ValueError("g must divide x^m - 1")
     return exps
 
 
@@ -400,7 +400,8 @@ def order_triples(tower):
 def representative_psi(tower, divisor_index) -> AddCharacter:
     """First delta (ascending code) whose character has the given order."""
     deltas = char_context(tower).delta_class(divisor_index)
-    assert len(deltas) > 0
+    if not len(deltas):
+        raise ValueError(f"no divisor of x^m - 1 has index {divisor_index}")
     return AddCharacter(tower, int(deltas[0]))
 
 
@@ -417,25 +418,41 @@ def random_admissible_quadratics(tower, count, rng):
 
 
 def _weil_chunk(args):
-    """Worker: audit one slice of order triples against a shared f list."""
+    """Worker: audit one slice of order triples against a shared f list.
+
+    Batched as weil_audit describes, over blocks of at most
+    _WEIL_BLOCK_TERMS // Q quadratics.
+    """
     p, r, m, triples, fs, tol = args
     t = gf.build_extension(p, r, m)
     ctx = char_context(t)
     bound3 = 3 * math.sqrt(t.Q)
     bound2 = 2 * math.sqrt(t.Q)
     divs = ctx.tp.divisors()
+    live = []
+    for d1, d2, hi in triples:
+        delta = representative_psi(t, hi).delta
+        if d1 > 1 or d2 > 1 or delta:
+            live.append((d1, d2, hi, delta))
+    sums = [[] for _ in live]  # |S| per live triple, in f order
+    rows = max(1, _WEIL_BLOCK_TERMS // t.Q)
+    for lo in range(0, len(fs), rows):
+        fv = np.stack([t.quad_values(*_quad_codes(t, f)) for f in fs[lo : lo + rows]])
+        pair = prod = None
+        for row, (d1, d2, _hi, delta) in zip(sums, live):
+            if pair != (d1, d2):
+                pair = (d1, d2)
+                chi1 = ctx.mult_table(d1, 1 if d1 > 1 else 0)
+                prod = chi1 * ctx.mult_table(d2, 1 if d2 > 1 else 0)[fv]
+            terms = prod * ctx.add_table(delta)
+            for re, im in zip(terms.real.tolist(), terms.imag.tolist()):
+                row.append(abs(complex(math.fsum(re), math.fsum(im))))
     worst = None
     violations = []
     checked = 0
-    for d1, d2, hi in triples:
-        chi1 = MultCharacter(t, d1, 1 if d1 > 1 else 0)
-        chi2 = MultCharacter(t, d2, 1 if d2 > 1 else 0)
-        psi = representative_psi(t, hi)
-        if chi1.is_trivial and chi2.is_trivial and psi.is_trivial:
-            continue
-        bound = bound2 if psi.is_trivial else bound3
-        for f in fs:
-            s = abs(char_sum(chi1, chi2, psi, f))
+    for row, (d1, d2, hi, delta) in zip(sums, live):
+        bound = bound3 if delta else bound2
+        for f, s in zip(fs, row):
             margin = bound + tol - s
             checked += 1
             if worst is None or margin < worst["margin"]:
@@ -458,8 +475,19 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
 
     Returns {"worst": row, "violations": [...], "checked": count}; the fully
     trivial triple is excluded (its sum is q^m - #zeros, not bounded).
+
+    The sums are batched, not computed one char_sum at a time: each worker
+    evaluates every quadratic once, into an (F, Q) code matrix per block of
+    f, and per (d1, d2) forms chi1(alpha) chi2(f(alpha)) for the whole block
+    in one product, then multiplies in each psi and fsums every row.  Each
+    term is the same float as in char_sum (the same products in the same
+    order) and fsum is correctly rounded, so abs_S, margins, the worst row
+    and the violations equal those of one char_sum per (triple, f), bit
+    for bit.
     Worker processes split the triple list; the merge is order-independent
-    because each sum is evaluated identically in any partition.
+    because each sum is evaluated identically in any partition.  Audits of
+    fewer than _WEIL_POOL_MIN_TERMS terms run in-process whatever threads
+    says.
     """
     import multiprocessing
     import random as _random
@@ -470,6 +498,8 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
     fs = random_admissible_quadratics(t, quadratics, rng)
     triples = order_triples(t)
     threads = max(1, min(threads or 1, len(triples)))
+    if len(triples) * len(fs) * t.Q < _WEIL_POOL_MIN_TERMS:
+        threads = 1
     if threads == 1:
         chunks = [(t.p, t.r, t.m, triples, fs, tol)]
         results = [_weil_chunk(chunks[0])]

@@ -88,21 +88,18 @@ class SearchContext:
         fb[0] = 0
         self.free_bits = fb
         self.all_prime_mask = (1 << len(self.primes)) - 1
-        # bit j set <=> ((x^m - 1)/h_j) o alpha != 0
-        gb = np.zeros(Q, dtype=np.int64)
-        digits = tower.digits_all().astype(np.int64)
-        for j, mat in enumerate(self.tp.quotient_matrices()):
-            nonzero = (digits @ mat.T % tower.p).any(axis=1)
-            gb |= nonzero.astype(np.int64) << j
-        self.g_bits = gb
+        # bit j set <=> ((x^m - 1)/h_j) o alpha != 0, i.e. alpha is off that
+        # map's kernel, the multiples of h_j (q^(m - deg h_j) of the Q codes)
         self.all_g_mask = (1 << len(self.tp.pf.factors)) - 1
+        gb = np.full(Q, self.all_g_mask, dtype=np.int64)
+        for j, mat in enumerate(self.tp.quotient_matrices()):
+            gb[tower.kernel_codes(mat)] &= ~(1 << j)
+        self.g_bits = gb
         self.prim_mask = (fb & self.all_prime_mask) == self.all_prime_mask
         self.prim_mask[0] = False
         self.normal_mask = (gb & self.all_g_mask) == self.all_g_mask
         pn = np.nonzero(self.prim_mask & self.normal_mask)[0]
         self.pn_codes = pn[np.argsort(dlog[pn], kind="stable")].astype(np.int64)
-        self.sq = np.zeros(Q, dtype=np.int64)
-        self.sq[tower.exp] = tower.exp[(2 * np.arange(N)) % N]
         self._add_table = None
         self._mul_table = None
         self._residue_rows = None
@@ -115,14 +112,6 @@ class SearchContext:
     def g_mask_of(self, g):
         idx = self.tp.g_factor_indices(g)
         return sum(1 << j for j in idx)
-
-    def quad_values(self, a, b, c):
-        """f(alpha) codes over all alpha codes."""
-        t = self.tower
-        codes = np.arange(t.Q, dtype=np.int64)
-        av = t.mul_codes_vec(self.sq, a)
-        bv = t.mul_codes_vec(codes, b)
-        return t.add_codes_vec(t.add_codes_vec(av, bv), c)
 
     def pair_tables(self):
         """(ADD, MUL) full code tables for the sweep kernel."""
@@ -208,7 +197,7 @@ def exact_count(tower, f, e1, e2, g) -> int:
         a, b, c = f.codes()
     else:
         a, b, c = (tower.coerce(x) for x in f)
-    fvals = ctx.quad_values(a, b, c)
+    fvals = tower.quad_values(a, b, c)
     return _count_masks(
         ctx, fvals, ctx.prime_mask_of(e1), ctx.prime_mask_of(e2), ctx.g_mask_of(g)
     )
@@ -245,7 +234,7 @@ def verify_sieve_inequality(tower, f, d, g) -> dict:
         a, b, c = f.codes()
     else:
         a, b, c = (tower.coerce(x) for x in f)
-    fvals = ctx.quad_values(a, b, c)
+    fvals = tower.quad_values(a, b, c)
     dm = ctx.prime_mask_of(d) if d > 1 else 0
     gm = ctx.g_mask_of(g)
     rem_primes = [i for i, p in enumerate(ctx.primes) if d % p != 0]
@@ -339,10 +328,11 @@ def _sweep_block(args):
     Q, N = tower.Q, tower.N
     per_residue = N // rad
     pn = ctx.pn_codes
-    pn_sq = ctx.sq[pn]
+    sq = tower.square_codes()
+    pn_sq = sq[pn]
     B = np.repeat(order[ib0:ib1], Q)
     C = np.tile(order, ib1 - ib0)
-    adm = C != ctx.sq[B]
+    adm = C != sq[B]
     bb = B[adm]
     cc = C[adm]
     checked = len(bb) * N

@@ -1,8 +1,11 @@
 import cmath
+import functools
+import math
 import random
 
 import pytest
 
+from ffpn import chars
 from ffpn.chars import (
     AddCharacter,
     MultCharacter,
@@ -13,13 +16,15 @@ from ffpn.chars import (
     freeness_indicator,
     mult_char_eval,
     mult_product,
+    order_triples,
     orthogonality_audit,
+    random_admissible_quadratics,
     representative_psi,
     trivial_mult,
     weil_audit,
 )
 from ffpn.errors import SizeBudgetExceeded, ZeroElement
-from ffpn.fqpoly import poly_stats, tower_poly
+from ffpn.fqpoly import FqPolynomial, poly_stats, tower_poly
 from ffpn.gf import build_extension, find_generator, is_e_free
 from ffpn.fqpoly import is_g_free
 from ffpn.numtheory import divisors_of
@@ -171,3 +176,75 @@ def test_add_char_eval_matches_table():
             assert abs(psi(t.element(code)) - tab[code]) < 1e-12
     assert AddCharacter(t, 0).is_trivial
     assert AddCharacter(t, 5).fq_order().degree >= 1
+
+
+def test_indicator_rejects_non_divisor_g():
+    # x^3 + 1 = (x + 1)^3 does not divide x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) over F_3
+    t = build_extension(3, 1, 4)
+    field = tower_poly(t).pf.factors[0].field
+    with pytest.raises(ValueError, match="divide"):
+        freeness_indicator("g", FqPolynomial(field, (1, 0, 0, 1)), t.element(5))
+
+
+def test_representative_psi_rejects_unknown_divisor():
+    t = build_extension(3, 1, 2)
+    with pytest.raises(ValueError):
+        representative_psi(t, len(tower_poly(t).divisors()))
+
+
+@functools.lru_cache(maxsize=None)
+def _per_sum_weil_audit(t, quadratics, seed, tol):
+    """weil_audit as one char_sum per (triple, f), in the audit's order."""
+    fs = random_admissible_quadratics(t, quadratics, random.Random(seed))
+    divs = tower_poly(t).divisors()
+    worst, violations, checked = None, [], 0
+    for d1, d2, hi in order_triples(t):
+        chi1 = MultCharacter(t, d1, 1 if d1 > 1 else 0)
+        chi2 = MultCharacter(t, d2, 1 if d2 > 1 else 0)
+        psi = representative_psi(t, hi)
+        if chi1.is_trivial and chi2.is_trivial and psi.is_trivial:
+            continue
+        bound = (2 if psi.is_trivial else 3) * math.sqrt(t.Q)
+        for f in fs:
+            s = abs(char_sum(chi1, chi2, psi, f))
+            margin = bound + tol - s
+            checked += 1
+            if worst is None or margin < worst["margin"]:
+                worst = {
+                    "d1": d1,
+                    "d2": d2,
+                    "h": divs[hi][0].render(),
+                    "f": list(f),
+                    "abs_S": s,
+                    "bound": bound,
+                    "margin": margin,
+                }
+            if margin < 0:
+                violations.append((d1, d2, hi, f, s, bound))
+    return {"worst": worst, "violations": violations, "checked": checked}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("p,r,m", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2)])
+def test_weil_audit_equals_per_sum_reference(monkeypatch, p, r, m, block_rows, threads):
+    t = build_extension(p, r, m)
+    monkeypatch.setattr(chars, "_WEIL_POOL_MIN_TERMS", 0)  # let threads=2 reach the pool
+    if block_rows is not None:
+        # 7 quadratics in blocks of 3 leave a ragged last block of 1
+        monkeypatch.setattr(chars, "_WEIL_BLOCK_TERMS", block_rows * t.Q + t.Q // 2)
+    # a negative tolerance pushes some margins below 0, so violations are compared too
+    for tol in (1e-6, -1.5 * math.sqrt(t.Q)):
+        got = weil_audit(t, quadratics=7, seed=m, tol=tol, threads=threads)
+        want = _per_sum_weil_audit(t, 7, m, tol)
+        assert got == want
+    assert want["violations"] and want["checked"] == 7 * (len(order_triples(t)) - 1)
+
+
+def test_weil_audit_small_audit_skips_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started for a small audit")
+
+    monkeypatch.setattr("multiprocessing.get_context", no_pool)
+    t = build_extension(3, 1, 3)
+    assert weil_audit(t, quadratics=5, seed=1, threads=2) == weil_audit(t, quadratics=5, seed=1)

@@ -294,3 +294,56 @@ def test_table_build_refuses_non_primitive_generator(monkeypatch, p, r, m, k):
     monkeypatch.setattr(FieldTower, "find_generator_code", lambda self, cache=None: gk)
     with pytest.raises(ArithmeticError, match="not primitive"):
         FieldTower(p, r, m, build_tables=True)
+
+
+def _scalar_quad(t, a, b, c, x):
+    return t.add_codes(t.add_codes(t.mul_codes(a, t.mul_codes(x, x)), t.mul_codes(b, x)), c)
+
+
+@pytest.mark.parametrize(
+    "p,r,m", [(2, 1, 6), (2, 3, 2), (3, 1, 5), (3, 2, 3), (5, 1, 3), (7, 1, 3), (257, 1, 2)]
+)
+def test_quad_values_equal_scalar_evaluation(p, r, m):
+    t = T(p, r, m)
+    rng = random.Random(p * 100 + m)
+    top = t.Q - 1
+    quads = [(1, 0, 0), (top, top, top), (rng.randrange(1, t.Q), 0, rng.randrange(t.Q))]
+    if t.Q < 10**4:
+        quads += [(rng.randrange(1, t.Q), rng.randrange(t.Q), rng.randrange(t.Q)) for _ in range(3)]
+    for a, b, c in quads:
+        vals = t.quad_values(a, b, c)
+        assert vals.dtype == np.int64
+        assert vals.tolist() == [_scalar_quad(t, a, b, c, x) for x in range(t.Q)]
+
+
+def test_vectorized_products_refuse_untabled_tower():
+    t = T(3, 1, 4, tables="off")
+    with pytest.raises(SizeBudgetExceeded):
+        t.quad_values(1, 0, 0)
+    with pytest.raises(SizeBudgetExceeded):
+        t.mul_codes_vec(np.arange(t.Q), 2)
+
+
+def test_digit_arithmetic_holds_p_above_256():
+    t = T(257, 1, 2)
+    da = t.digits_all()
+    assert int(da.max()) == 256 and (da[257 * 3 + 256] == (256, 3)).all()
+    assert t.add_codes_vec(np.array([256]), np.array([1])).tolist() == [t.add_codes(256, 1)] == [0]
+    rng = np.random.default_rng(7)
+    u = rng.integers(0, t.Q, 500)
+    v = rng.integers(0, t.Q, 500)
+    assert t.add_codes_vec(u, v).tolist() == [t.add_codes(int(x), int(y)) for x, y in zip(u, v)]
+    assert t.add_codes_vec(int(u[0]), v).tolist() == [t.add_codes(int(u[0]), int(y)) for y in v]
+    sq = t.square_codes()
+    assert [int(sq[x]) for x in (0, 1, 256, 300)] == [t.mul_codes(x, x) for x in (0, 1, 256, 300)]
+
+
+@pytest.mark.parametrize("p,r,m", [(3, 1, 6), (2, 1, 8), (5, 1, 3), (3, 2, 3)])
+def test_kernel_codes_is_the_kernel(p, r, m):
+    t = T(p, r, m)
+    for k in range(1, 4):
+        # the F_p-linear map x -> x^(p^k) - x; its kernel is F_{p^gcd(k, n)}
+        mat = t.linear_map_matrix(lambda c: t.sub_codes(t.pow_code(c, p**k), c))
+        want = [x for x in range(t.Q) if t.pow_code(x, p**k) == x]
+        assert t.kernel_codes(mat).tolist() == want
+        assert len(want) == p ** math.gcd(k, t.n)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffpn.errors import SizeBudgetExceeded
@@ -347,3 +348,21 @@ def test_witness_samples_are_witnesses(m):
         assert w["alpha"] in ctx.pn_codes
         assert _quad_value(t, a, b, c, w["alpha"]) == w["f_alpha"]
         assert ctx.prim_mask[w["f_alpha"]]
+
+
+@pytest.mark.parametrize(
+    "p,r,m", [(3, 1, 3), (3, 1, 4), (3, 1, 6), (3, 2, 3), (2, 1, 4), (2, 1, 6), (5, 1, 5), (7, 1, 2)]
+)
+def test_context_masks_equal_digit_matrix_reference(p, r, m):
+    # g_bits from kernel enumeration vs every code through each quotient matrix
+    t = build_extension(p, r, m)
+    ctx = search_context(t)
+    digits = t.digits_all().astype(np.int64)
+    gb = np.zeros(t.Q, dtype=np.int64)
+    for j, mat in enumerate(ctx.tp.quotient_matrices()):
+        gb |= (digits @ mat.T % p).any(axis=1).astype(np.int64) << j
+    assert ctx.g_bits.dtype == np.int64 and ctx.g_bits.tobytes() == gb.tobytes()
+    normal = [x for x in range(t.Q) if gb[x] == ctx.all_g_mask]
+    assert ctx.normal_mask.tolist() == [gb[x] == ctx.all_g_mask for x in range(t.Q)]
+    pn = sorted((x for x in normal if ctx.prim_mask[x]), key=lambda x: t.log[x])
+    assert ctx.pn_codes.tolist() == pn
