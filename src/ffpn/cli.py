@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit status: 0 for any computed verdict (including "fail" and exception
-findings), 2 for usage errors, 3 when factoring or size budgets are
-exceeded.  Output is byte-deterministic for a fixed request and cache
-state; exact rationals serialize as {"num": "...", "den": "..."} and big
-integers as decimal strings, so nothing is lost to parsing.
+findings), 2 for usage errors and a corrupt factor cache file, 3 when
+factoring or size budgets are exceeded.  Output is byte-deterministic for
+a fixed request and cache state; exact rationals serialize as
+{"num": "...", "den": "..."} and big integers as decimal strings, so
+nothing is lost to parsing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import chars, gf, search, sieve
-from .errors import SizeBudgetExceeded, UnfactoredCofactor
+from .errors import CorruptCache, SizeBudgetExceeded, UnfactoredCofactor
 from .fqpoly import factor_xm1
 from .numtheory import FactorCache, factorize, multiplicative_stats
 
@@ -101,10 +102,16 @@ def cmd_factor_poly(args):
 
 def cmd_check(args):
     res = sieve.basic_condition(args.q, args.m, cache=_cache(args))
+    bound = res["W_bound"]
+    if "unsplit_digits" in res:
+        digits = res["unsplit_digits"]
+        noun = "cofactor" if len(digits) == 1 else "cofactors"
+        bound += f" (unsplit {noun}: {', '.join(map(str, digits))} digits)"
     lines = [
         f"(q, m) = ({args.q}, {args.m})",
         f"lhs q^(m/2) = {res['lhs']:.6g}",
         f"rhs 3 W^2 Omega = {res['rhs']}",
+        f"W bound: {bound}",
         f"verdict: {res['verdict']}",
     ]
     emit(args, res, lines)
@@ -357,6 +364,9 @@ def main(argv=None):
     except (UnfactoredCofactor, SizeBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except CorruptCache as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

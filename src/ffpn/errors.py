@@ -21,6 +21,10 @@ class UnfactoredCofactor(FfpnError):
         super().__init__(message or f"unfactored composite cofactor {cofactor}")
 
 
+class CorruptCache(FfpnError):
+    """A factor cache file that is not a JSON object of factor lists."""
+
+
 class SizeBudgetExceeded(FfpnError):
     pass
 

@@ -14,11 +14,12 @@ import json
 import os
 import random
 import threading
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import NotPrime, UnfactoredCofactor
+from .errors import CorruptCache, NotPrime, UnfactoredCofactor
 
 TRIAL_LIMIT = 10**6
 _RHO_ATTEMPTS = 24
@@ -123,7 +124,8 @@ def cyclotomic_value(d, x):
         elif mu == -1:
             den *= x ** (d // e) - 1
     value, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Phi_{d}({x}): quotient of the Moebius product is not exact")
     return value
 
 
@@ -196,7 +198,10 @@ class FactorCache:
     """JSON-backed factor cache: {"<decimal n>": ["<prime>", ...]}.
 
     Primes are listed with multiplicity in increasing order.  Lookups may
-    happen concurrently; writes are serialized and atomic.
+    happen concurrently; writes are serialized and atomic.  A file that is
+    not such a JSON object raises CorruptCache and is left as it is; an
+    entry whose product is not n or whose members are not all prime is
+    ignored with a warning that says why, and the next store replaces it.
     """
 
     def __init__(self, path):
@@ -208,16 +213,41 @@ class FactorCache:
         if self._data is None:
             try:
                 with open(self.path, "r", encoding="utf-8") as fh:
-                    self._data = json.load(fh)
-            except (FileNotFoundError, json.JSONDecodeError):
-                self._data = {}
+                    data = json.load(fh)
+            except FileNotFoundError:
+                data = {}
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise CorruptCache(f"factor cache {self.path} is not valid JSON: {exc}") from exc
+            if not isinstance(data, dict):
+                raise CorruptCache(f"factor cache {self.path} holds a {type(data).__name__}, not an object")
+            self._data = data
         return self._data
 
+    def _reject(self, n, reason):
+        warnings.warn(f"factor cache {self.path}: entry for {n} ignored: {reason}", stacklevel=3)
+
     def lookup(self, n):
+        """The cached factorization of n, checked, or None."""
         entry = self._load().get(str(n))
         if entry is None:
             return None
-        return [int(s) for s in entry]
+        try:
+            primes = [int(s) for s in entry]
+        except (TypeError, ValueError):
+            self._reject(n, "not a list of decimal integers")
+            return None
+        if prod(primes) != n:
+            self._reject(n, f"product of the listed primes is {prod(primes)}")
+            return None
+        probable = []
+        for p in set(primes):
+            ok, certified = primality(p)
+            if not ok:
+                self._reject(n, f"{p} is not prime")
+                return None
+            if not certified:
+                probable.append(p)
+        return _assemble(n, primes, probable)
 
     def store(self, n, prime_list):
         with self._lock:
@@ -237,23 +267,19 @@ def _assemble(n, primes_with_mult, probable):
     return IntFactorization(n=n, factors=factors, probable=tuple(sorted(set(probable))))
 
 
-def factorize(n, hints=None, cache=None):
-    """Factor n completely.
+def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None):
+    """Prime factors of n >= 1, with multiplicity, and the probable ones.
 
-    hints: optional iterable of known prime factors (verified, then peeled).
-    cache: optional FactorCache consulted first and updated on success.
-    Raises UnfactoredCofactor if a composite survives the rho budget.
+    Trial division by every prime up to TRIAL_LIMIT, then up to rho_attempts
+    Brent-rho attempts of rho_iters iterations on each composite cofactor.
+    A composite that survives them raises UnfactoredCofactor, or, when
+    unsplit is a list, is appended to it; its prime factors all exceed
+    TRIAL_LIMIT.  Only a complete factorization is stored in cache.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return IntFactorization(n=1)
-
     if cache is not None:
         cached = cache.lookup(n)
-        if cached is not None and prod(cached) == n:
-            probable = [p for p in set(cached) if not primality(p)[1]]
-            return _assemble(n, cached, probable)
+        if cached is not None:
+            return cached.prime_list(), list(cached.probable)
 
     found = []
     probable = []
@@ -276,6 +302,7 @@ def factorize(n, hints=None, cache=None):
             found.append(p)
             rem //= p
 
+    left = []
     stack = [rem] if rem > 1 else []
     while stack:
         c = stack.pop()
@@ -288,19 +315,39 @@ def factorize(n, hints=None, cache=None):
                 probable.append(c)
             continue
         d = None
-        for attempt in range(1, _RHO_ATTEMPTS + 1):
-            d = _brent_rho(c, attempt, _RHO_MAX_ITER)
+        for attempt in range(1, rho_attempts + 1):
+            d = _brent_rho(c, attempt, rho_iters)
             if d is not None:
                 break
         if d is None:
-            raise UnfactoredCofactor(c)
+            if unsplit is None:
+                raise UnfactoredCofactor(c)
+            left.append(c)
+            continue
         stack.append(d)
         stack.append(c // d)
 
-    result = _assemble(n, sorted(found), probable)
-    if cache is not None:
-        cache.store(n, result.prime_list())
-    return result
+    found.sort()
+    if left:
+        unsplit.extend(left)
+    elif cache is not None and n > 1:
+        cache.store(n, found)
+    return found, probable
+
+
+def factorize(n, hints=None, cache=None):
+    """Factor n completely.
+
+    hints: optional iterable of known prime factors (verified, then peeled).
+    cache: optional FactorCache consulted first and updated on success.
+    Raises UnfactoredCofactor if a composite survives the rho budget.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return IntFactorization(n=1)
+    found, probable = _factor(n, hints, cache, _RHO_ATTEMPTS, _RHO_MAX_ITER)
+    return _assemble(n, found, probable)
 
 
 def prime_power_split(q):
@@ -324,26 +371,77 @@ def prime_power_split(q):
     return q, 1
 
 
-def factorize_qm_minus_1(q, m, hints=None, cache=None):
-    """Factor q^m - 1 by splitting into cyclotomic values Phi_d(p), d | rm."""
+@dataclass(frozen=True)
+class PartialFactorization:
+    """q^m - 1 split as far as a given rho budget got.
+
+    primes lists the prime factors found, with multiplicity, increasing;
+    unsplit the composite cofactors left over, each with every prime factor
+    above TRIAL_LIMIT.  The product of both is n.
+    """
+
+    n: int
+    primes: tuple
+    probable: tuple
+    unsplit: tuple
+
+    def complete(self):
+        """The IntFactorization, or None while a cofactor is unsplit."""
+        return None if self.unsplit else _assemble(self.n, self.primes, self.probable)
+
+    def omega_bound(self):
+        """An upper bound on omega(n), exact when nothing is unsplit.
+
+        An unsplit c has only prime factors above L = TRIAL_LIMIT, so it
+        has at most max{k : L^k < c} of them.  A prime counted both among
+        the found ones and in some c only makes the bound larger.
+        """
+        bound = len(set(self.primes))
+        for c in self.unsplit:
+            k = 0
+            while TRIAL_LIMIT ** (k + 1) < c:
+                k += 1
+            bound += k
+        return bound
+
+
+def _split_qm_minus_1(q, m, hints, cache, rho_attempts, rho_iters, partial):
     p, r = prime_power_split(q)
     n = q**m - 1
     if cache is not None:
         cached = cache.lookup(n)
-        if cached is not None and prod(cached) == n:
-            probable = [pp for pp in set(cached) if not primality(pp)[1]]
-            return _assemble(n, cached, probable)
+        if cached is not None:
+            return PartialFactorization(n, tuple(cached.prime_list()), cached.probable, ())
     primes_with_mult = []
     probable = []
+    unsplit = [] if partial else None
     for d in divisors_of(r * m):
-        part = factorize(cyclotomic_value(d, p), hints=hints, cache=cache)
-        primes_with_mult.extend(part.prime_list())
-        probable.extend(part.probable)
-    result = _assemble(n, sorted(primes_with_mult), probable)
-    assert result.n == n
-    if cache is not None:
-        cache.store(n, result.prime_list())
-    return result
+        found, prob = _factor(cyclotomic_value(d, p), hints, cache, rho_attempts, rho_iters, unsplit)
+        primes_with_mult.extend(found)
+        probable.extend(prob)
+    unsplit = tuple(unsplit or ())
+    if prod(primes_with_mult) * prod(unsplit) != n:
+        raise ArithmeticError(f"the cyclotomic parts of {q}^{m} - 1 do not multiply back to it")
+    primes_with_mult.sort()
+    if cache is not None and not unsplit:
+        cache.store(n, primes_with_mult)
+    return PartialFactorization(n, tuple(primes_with_mult), tuple(sorted(set(probable))), unsplit)
+
+
+def factorize_qm_minus_1(q, m, hints=None, cache=None):
+    """Factor q^m - 1 by splitting into cyclotomic values Phi_d(p), d | rm."""
+    return _split_qm_minus_1(q, m, hints, cache, _RHO_ATTEMPTS, _RHO_MAX_ITER, partial=False).complete()
+
+
+def partial_factorize_qm_minus_1(q, m, rho_iters, cache=None):
+    """Split q^m - 1 with one rho attempt of rho_iters per composite cofactor.
+
+    Each cyclotomic part is trial-divided as factorize does; a composite
+    cofactor that one attempt (c = 1) does not split stays in unsplit.
+    A complete result is cached as factorize_qm_minus_1 caches it; a
+    partial one is never stored.
+    """
+    return _split_qm_minus_1(q, m, None, cache, 1, rho_iters, partial=True)
 
 
 @dataclass(frozen=True)

@@ -175,11 +175,10 @@ def enumerate_primitive_normal(tower):
 
 def _count_masks(ctx, fvals, e1m, e2m, gm):
     """Count alpha != 0, f(alpha) != 0 passing the three freeness masks."""
-    codes = np.arange(1, ctx.tower.Q, dtype=np.int64)
     fv = fvals[1:]
     dom = fv != 0
-    ok = (ctx.free_bits[codes] & e1m) == e1m
-    ok &= (ctx.g_bits[codes] & gm) == gm
+    ok = (ctx.free_bits[1:] & e1m) == e1m
+    ok &= (ctx.g_bits[1:] & gm) == gm
     ok &= dom
     sel = fv[ok]
     return int(np.count_nonzero((ctx.free_bits[sel] & e2m) == e2m))

@@ -37,6 +37,28 @@ def test_check_verdicts_agree_between_modes(capsys):
     assert payload["verdict"] == "fail" and payload["rhs"] == 384
 
 
+def test_check_reports_the_w_certificate(capsys, monkeypatch):
+    from ffpn import sieve
+
+    code, text = run_cli(capsys, "check", "--q", "3", "--m", "4")
+    assert code == 0 and "W bound: exact\n" in text
+    # without rho the 28-digit cofactor of Phi_59(3) stays unsplit
+    monkeypatch.setattr(sieve, "PARTIAL_RHO_ITERS", 0)
+    code, text = run_cli(capsys, "check", "--q", "3", "--m", "59")
+    assert code == 0 and "W bound: partial (unsplit cofactor: 28 digits)\n" in text
+    code, js = run_cli(capsys, "--json", "check", "--q", "3", "--m", "59")
+    payload = json.loads(js)
+    assert (payload["W_bound"], payload["unsplit_digits"], payload["verdict"]) == ("partial", [28], "pass")
+
+
+def test_corrupt_cache_exits_2(capsys, tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text("{truncated", encoding="utf-8")
+    assert main(["--cache", str(path), "check", "--q", "3", "--m", "4"]) == 2
+    assert f"error: factor cache {path} is not valid JSON" in capsys.readouterr().err
+    assert path.read_text(encoding="utf-8") == "{truncated"
+
+
 def test_sieve_command(capsys):
     code, out = run_cli(capsys, "--json", "sieve", "--q", "3", "--m", "18", "--d", "14")
     payload = json.loads(out)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ffpn.errors import NotPrime
+from ffpn.errors import CorruptCache, NotPrime
 from ffpn.numtheory import (
     FactorCache,
     IntFactorization,
@@ -15,6 +15,7 @@ from ffpn.numtheory import (
     moebius,
     multiplicative_stats,
     omega_table,
+    partial_factorize_qm_minus_1,
     prime_power_split,
     primality,
     small_primes,
@@ -183,3 +184,72 @@ def test_unfactored_cofactor_carries_value(monkeypatch):
     assert exc.value.cofactor == n
     # a hint unblocks the same call under the same budget
     assert nt.factorize(n, hints=[1000003]).factors == ((1000003, 1), (1000033, 1))
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", "\xff\xfe"])
+def test_factor_cache_refuses_corrupt_file(tmp_path, text):
+    path = tmp_path / "cache.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(CorruptCache, match=str(path)):
+        factorize(3**18 - 1, cache=FactorCache(str(path)))
+    assert path.read_bytes() == text.encode("latin-1")  # left as it was
+
+
+@pytest.mark.parametrize("entry", [["80"], ["2", "2", "4", "5"], ["x"]])
+def test_factor_cache_rejects_bad_entry(tmp_path, entry):
+    from ffpn.sieve import basic_condition
+
+    path = str(tmp_path / "cache.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({str(3**4 - 1): entry}, fh)
+    with pytest.warns(UserWarning, match="entry for 80 ignored"):
+        res = basic_condition(3, 4, cache=FactorCache(path))
+    assert res["W"] == 4 and res["W_bound"] == "exact"
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh)["80"] == ["2", "2", "2", "2", "5"]  # replaced
+
+
+def test_cyclotomic_value_refuses_inexact_quotient(monkeypatch):
+    from ffpn import numtheory as nt
+
+    monkeypatch.setattr(nt, "moebius", lambda e: -1)
+    with pytest.raises(ArithmeticError, match="Phi_2"):
+        nt.cyclotomic_value(2, 3)
+
+
+def test_qm_minus_1_refuses_parts_that_miss_the_product(monkeypatch):
+    from ffpn import numtheory as nt
+
+    monkeypatch.setattr(nt, "cyclotomic_value", lambda d, x: 2)
+    with pytest.raises(ArithmeticError, match="3\\^4 - 1"):
+        nt.factorize_qm_minus_1(3, 4)
+
+
+def test_partial_factorization_bounds_omega():
+    # 3^59 - 1 = 2 * Phi_59(3); without rho the 28-digit cofactor of
+    # Phi_59(3) stays whole and counts for floor(log_{10^6}) = 4 primes.
+    pf = partial_factorize_qm_minus_1(3, 59, 0)
+    exact = factorize_qm_minus_1(3, 59)
+    assert [len(str(c)) for c in pf.unsplit] == [28]
+    assert pf.complete() is None
+    assert math.prod(pf.primes) * math.prod(pf.unsplit) == pf.n == 3**59 - 1
+    assert pf.omega_bound() == 5 >= len(exact.factors) == 3
+    full = partial_factorize_qm_minus_1(3, 59, 1 << 20)
+    assert full.unsplit == () and full.complete() == exact
+    assert full.omega_bound() == len(exact.factors)
+
+
+def test_partial_factorization_never_cached(tmp_path):
+    path = str(tmp_path / "cache.json")
+    cache = FactorCache(path)
+    pf = partial_factorize_qm_minus_1(3, 59, 0, cache=cache)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert str(3**59 - 1) not in data and str(pf.unsplit[0]) not in data
+    assert data == {"2": ["2"]}  # the part Phi_1(3) that did factor
+    # a complete entry for q^m - 1 is consulted first, whatever the rho budget
+    exact = factorize_qm_minus_1(3, 59)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({str(exact.n): [str(p) for p in exact.prime_list()]}, fh)
+    again = partial_factorize_qm_minus_1(3, 59, 0, cache=FactorCache(path))
+    assert again.unsplit == () and again.complete() == exact

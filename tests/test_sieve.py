@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ffpn.errors import DivisibilityViolation
 from ffpn.fqpoly import factor_xm1
-from ffpn.numtheory import divisors_of
+from ffpn import sieve
+from ffpn.numtheory import PartialFactorization, divisors_of, factorize_qm_minus_1, multiplicative_stats
 from ffpn.sieve import (
     TABLE1,
     TABLE2,
@@ -33,6 +35,81 @@ def test_basic_condition_examples():
 
 def test_basic_condition_pass_case():
     assert basic_condition(3, 30)["verdict"] == "pass"
+
+
+# every q = 3^r <= 729, m <= 60 with r*m <= 88: q^m - 1 factors in full
+AUDIT_PAIRS = tuple((3**r, m) for r in range(1, 7) for m in range(1, 61) if r * m <= 88)
+
+
+@pytest.fixture(scope="module")
+def exact_basic():
+    out = {}
+    for q, m in AUDIT_PAIRS:
+        W = multiplicative_stats(factorize_qm_minus_1(q, m)).W
+        out[(q, m)] = (W, basic_condition(q, m))
+    return out
+
+
+def test_basic_condition_default_budget_is_exact(exact_basic):
+    assert len(exact_basic) == 186
+    for (q, m), (W, res) in exact_basic.items():
+        assert res["W_bound"] == "exact" and "unsplit_digits" not in res, (q, m)
+        assert res["W"] == W, (q, m)
+
+
+@pytest.mark.parametrize("rho_iters", [2 * 10**4, 0])
+def test_partial_bound_audit(exact_basic, monkeypatch, rho_iters):
+    """A smaller rho budget leaves cofactors unsplit; the bound stays sound."""
+    monkeypatch.setattr(sieve, "PARTIAL_RHO_ITERS", rho_iters)
+    partial = 0
+    for (q, m), (W, exact) in exact_basic.items():
+        res = basic_condition(q, m)
+        assert res["W"] >= W, (q, m)
+        assert res["Omega"] == exact["Omega"], (q, m)
+        if res["W_bound"] == "partial":
+            partial += 1
+            assert res["verdict"] == "pass" and exact["verdict"] == "pass", (q, m)
+            assert res["unsplit_digits"] and min(res["unsplit_digits"]) > 12, (q, m)
+        else:
+            assert res == exact, (q, m)
+    assert partial == {2 * 10**4: 2, 0: 14}[rho_iters]
+
+
+def test_basic_condition_stall_pairs_pass_on_partial_bound():
+    """Frozen from
+        PYTHONPATH=src python -m ffpn.cli --json check --q 27 --m 53
+        PYTHONPATH=src python -m ffpn.cli --json check --q 243 --m 35
+    Each q^m - 1 keeps one cofactor that rho does not split within
+    PARTIAL_RHO_ITERS (nor within minutes of the full schedule); the bound
+    omega <= 13 resp. 16 passes all the same.
+    """
+    for q, m, W, digits in ((27, 53, 2**13, [50]), (243, 35, 2**16, [53])):
+        res = basic_condition(q, m)
+        assert res["verdict"] == "pass"
+        assert res["W_bound"] == "partial"
+        assert res["unsplit_digits"] == digits
+        assert res["W"] == W and res["rhs"] == 3 * W**2 * res["Omega"]
+
+
+def test_basic_condition_falls_back_to_full_factorization(monkeypatch):
+    # A hand-made partial result for 3^4 - 1 = 2^4 * 5 that leaves 5 unsplit
+    # bounds omega by 1; 3 * 2^2 * 8 > 3^2 fails, so W must come from the
+    # full factorization.
+    calls = []
+
+    def fake_partial(q, m, rho_iters, cache=None):
+        return PartialFactorization(80, (2, 2, 2, 2), (), (5,))
+
+    def spy_full(q, m, cache=None):
+        calls.append((q, m))
+        return factorize_qm_minus_1(q, m, cache=cache)
+
+    monkeypatch.setattr(sieve, "partial_factorize_qm_minus_1", fake_partial)
+    monkeypatch.setattr(sieve, "factorize_qm_minus_1", spy_full)
+    res = basic_condition(3, 4)
+    assert calls == [(3, 4)]
+    assert (res["W"], res["W_bound"], res["rhs"], res["verdict"]) == (4, "exact", 384, "fail")
+    assert "unsplit_digits" not in res
 
 
 def test_sieve_report_table_rows():
@@ -193,6 +270,24 @@ def test_reproduce_table2_flags():
     # (9,5) T2 matches the no-polynomial-term Delta, so it must flag here
     assert not rows[(9, 5)]["lambda_matches"]
     assert not rows[(9, 5)]["k_matches"]
+
+
+def test_sieve_lambda_equals_termwise_fractions():
+    # sieve_lambda sums over one common denominator; the values must equal
+    # the defining sums of Fraction terms, Delta <= 0 included.
+    rng = random.Random(5)
+    primes = [2, 5, 7, 11, 13, 757, 1093, 2663568851051]
+    for _ in range(400):
+        ps = tuple(sorted(rng.sample(primes, rng.randrange(len(primes) + 1))))
+        degs = tuple(rng.choice((1, 1, 2, 3, 6)) for _ in range(rng.randrange(6)))
+        q = rng.choice((3, 9, 27, 729))
+        ref = 1 - 2 * sum(Fraction(1, p) for p in ps) - sum(Fraction(1, q**d) for d in degs)
+        delta, lam = sieve_lambda(ps, degs, q)
+        assert delta == ref
+        if ref <= 0:
+            assert lam is None
+        else:
+            assert lam == Fraction(2 * len(ps) + len(degs) - 1) / ref + 2
 
 
 def test_exact_verdicts_near_boundary():
