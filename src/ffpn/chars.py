@@ -183,16 +183,8 @@ class _CharContext:
         return np.nonzero(self.delta_orders() == divisor_index)[0]
 
 
-_ctx_cache = {}
-
-
 def char_context(tower) -> _CharContext:
-    key = (tower.p, tower.r, tower.m)
-    ctx = _ctx_cache.get(key)
-    if ctx is None:
-        ctx = _CharContext(tower)
-        _ctx_cache[key] = ctx
-    return ctx
+    return tower.context(_CharContext)
 
 
 def _code_of(tower, alpha):
@@ -226,13 +218,6 @@ def _csum(terms) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def _quad_codes(tower, f):
-    if isinstance(f, tuple):
-        a, b, c = f
-        return tower.coerce(a), tower.coerce(b), tower.coerce(c)
-    return f.a.code, f.b.code, f.c.code
-
-
 def char_sum(chi1: MultCharacter, chi2: MultCharacter, psi: AddCharacter, f) -> complex:
     """S = sum over all alpha of chi1(alpha) chi2(f(alpha)) psi(alpha).
 
@@ -241,7 +226,7 @@ def char_sum(chi1: MultCharacter, chi2: MultCharacter, psi: AddCharacter, f) -> 
     """
     t = chi1.tower
     ctx = char_context(t)
-    fv = t.quad_values(*_quad_codes(t, f))
+    fv = t.quad_values(*t.quad_codes(f))
     terms = (
         ctx.mult_table(chi1.d, chi1.j)
         * ctx.mult_table(chi2.d, chi2.j)[fv]
@@ -437,7 +422,7 @@ def _weil_chunk(args):
     sums = [[] for _ in live]  # |S| per live triple, in f order
     rows = max(1, _WEIL_BLOCK_TERMS // t.Q)
     for lo in range(0, len(fs), rows):
-        fv = np.stack([t.quad_values(*_quad_codes(t, f)) for f in fs[lo : lo + rows]])
+        fv = np.stack([t.quad_values(*t.quad_codes(f)) for f in fs[lo : lo + rows]])
         pair = prod = None
         for row, (d1, d2, _hi, delta) in zip(sums, live):
             if pair != (d1, d2):

@@ -132,7 +132,6 @@ def x_pow_minus_one(field, m):
     return FqPolynomial(field, (field.neg_code(1),) + (0,) * (m - 1) + (1,))
 
 
-@lru_cache(maxsize=None)
 def small_field(p, r):
     """Canonical F_q as a degree-r tower over F_p (with tables)."""
     return gf.build_extension(p, r, 1)
@@ -193,7 +192,8 @@ def _int_cyclotomic_mod_p(d, p, field):
         else:
             den = den * part
     quot, rem = num.divmod(den)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise ArithmeticError(f"Phi_{d} is not an exact quotient mod {p}")
     return quot
 
 
@@ -208,36 +208,6 @@ def _element_of_order(tower, d):
     raise AssertionError(f"no element of order {d}")
 
 
-def _subfield_root_map(scratch, small):
-    """Map small-field codes into scratch through the first modulus root."""
-    q = small.Q
-    emb = {}
-    sub = scratch.subfield_codes(degree=small.n)
-    assert len(sub) == q
-    # first root of the canonical F_q modulus inside the scratch subfield
-    w = None
-    for cand in sub:
-        acc = 0
-        for c in reversed(small.modulus):
-            acc = scratch.add_codes(scratch.mul_codes(acc, cand), c)
-        if acc == 0:
-            w = cand
-            break
-    assert w is not None
-    fwd = [0] * q
-    for code in range(q):
-        digs = small.decode(code)[: small.n]
-        val = 0
-        wp = 1
-        for c in digs:
-            if c:
-                val = scratch.add_codes(val, scratch.mul_codes(c, wp))
-            wp = scratch.mul_codes(wp, w)
-        fwd[code] = val
-        emb[val] = code
-    return fwd, emb
-
-
 def _factors_for_divisor(d, q, p, r, field):
     """Distinct irreducible factors of Phi_d over F_q, sorted."""
     if d == 1:
@@ -248,7 +218,7 @@ def _factors_for_divisor(d, q, p, r, field):
     e = len(orbits[0])
     scratch = gf.build_extension(p, r * e, 1, tables="off")
     zeta = _element_of_order(scratch, d)
-    _fwd, back = _subfield_root_map(scratch, field)
+    back = {v: code for code, v in enumerate(_embedding_table(scratch, field))}
     factors = []
     for orb in orbits:
         # product of (X - zeta^i) over the orbit, coefficients in scratch codes
@@ -260,11 +230,9 @@ def _factors_for_divisor(d, q, p, r, field):
                 nxt[k + 1] = scratch.add_codes(nxt[k + 1], c)
                 nxt[k] = scratch.sub_codes(nxt[k], scratch.mul_codes(c, root))
             cur = nxt
-        coeffs = []
-        for c in cur:
-            assert c in back, "orbit product coefficient escaped F_q"
-            coeffs.append(back[c])
-        factors.append(FqPolynomial(field, coeffs))
+        if not all(c in back for c in cur):
+            raise ArithmeticError(f"an orbit product over Phi_{d} escaped F_{q}")
+        factors.append(FqPolynomial(field, [back[c] for c in cur]))
     return sorted(factors, key=lambda f: (f.degree, f.coeffs))
 
 
@@ -347,7 +315,8 @@ def poly_stats(q, parts) -> PolyStats:
     deg = 0
     squarefree = True
     for d, mult in parts:
-        assert d >= 1 and mult >= 1
+        if d < 1 or mult < 1:
+            raise ValueError(f"factor degree and multiplicity must be >= 1, got ({d}, {mult})")
         phi *= (q**d - 1) * q ** (d * (mult - 1))
         deg += d * mult
         if mult > 1:
@@ -377,7 +346,8 @@ class TowerPoly:
         self.quotients = []
         for f in self.pf.factors:
             quot, rem = xm1.divmod(f)
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise ArithmeticError(f"factor {f.render()} does not divide x^{tower.m} - 1")
             self.quotients.append(quot)
         self._divisors = None
         self._quotient_mats = None
@@ -431,20 +401,16 @@ class TowerPoly:
         return all(self.apply_codes(self.quotients[j], code) != 0 for j in idx)
 
 
-_tower_poly_cache = {}
-
-
 def tower_poly(tower) -> TowerPoly:
-    key = (tower.p, tower.r, tower.m)
-    tp = _tower_poly_cache.get(key)
-    if tp is None:
-        tp = TowerPoly(tower)
-        _tower_poly_cache[key] = tp
-    return tp
+    return tower.context(TowerPoly)
 
 
 def _embedding_table(tower, small):
-    """small-field code -> tower code, through the first modulus root."""
+    """small-field code -> tower code, through the first root of small's modulus.
+
+    The root is the first (ascending code) in tower's subfield of small.Q
+    elements; a prime field embeds as itself.
+    """
     if small.n == 1:
         return list(range(small.p))
     sub = tower.subfield_codes(degree=small.n)
@@ -456,7 +422,8 @@ def _embedding_table(tower, small):
         if acc == 0:
             w = cand
             break
-    assert w is not None
+    if w is None:
+        raise ArithmeticError(f"no root of the F_{small.Q} modulus in F_{tower.Q}")
     out = [0] * small.Q
     for code in range(small.Q):
         digs = small.decode(code)[: small.n]

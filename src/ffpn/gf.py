@@ -233,8 +233,22 @@ class FieldTower:
         self._digits_all = None
         self._square_codes = None
         self._bsgs = None
+        self._contexts = {}
         if build_tables:
             self._build_tables()
+
+    def context(self, build):
+        """build(self), built on the first call and held by this tower.
+
+        The per-tower machinery (TowerPoly, SearchContext, the character
+        tables) lives here, keyed by its builder, so a tabled and an
+        untabled tower of one field never share it.  Forked workers inherit
+        it with the tower from build_extension's registry.
+        """
+        ctx = self._contexts.get(build)
+        if ctx is None:
+            ctx = self._contexts[build] = build(self)
+        return ctx
 
     # -- scalar code arithmetic ------------------------------------------
 
@@ -526,6 +540,16 @@ class FieldTower:
             sq[self.exp] = self.exp[(2 * np.arange(self.N)) % self.N]
             self._square_codes = sq
         return self._square_codes
+
+    def quad_codes(self, f):
+        """Codes (a, b, c) of a quadratic.
+
+        f is a tuple or list of codes, elements or digit vectors, or an
+        object with FieldElement attributes a, b, c (a QuadraticSpec).
+        """
+        if isinstance(f, (tuple, list)):
+            return tuple(self.coerce(x) for x in f)
+        return f.a.code, f.b.code, f.c.code
 
     def quad_values(self, a, b, c):
         """Codes of a alpha^2 + b alpha + c for every alpha code. Needs tables.

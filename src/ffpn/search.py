@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fqpoly, gf
 from .errors import SizeBudgetExceeded
-from .numtheory import factorize, prime_power_split
+from .numtheory import prime_power_split
 
 PAIR_TABLE_LIMIT = 4096  # Q x Q code tables above this would be wasteful; not swept
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
@@ -62,9 +62,6 @@ class QuadraticSpec:
     def from_codes(cls, tower, a, b, c):
         return cls(tower.element(a), tower.element(b), tower.element(c))
 
-    def codes(self):
-        return (self.a.code, self.b.code, self.c.code)
-
     def render(self):
         return f"({self.a.render()})x^2 + ({self.b.render()})x + ({self.c.render()})"
 
@@ -77,9 +74,8 @@ class SearchContext:
             raise SizeBudgetExceeded("enumeration needs log tables (<= 2^24 elements)")
         self.tower = tower
         self.tp = fqpoly.tower_poly(tower)
-        Q, N = tower.Q, tower.N
-        self.nfac = factorize(N)
-        self.primes = self.nfac.primes()
+        Q = tower.Q
+        self.primes = tower.n_factorization().primes()
         dlog = tower.log
         # bit i set <=> code is p_i-free (its dlog is not divisible by p_i)
         fb = np.zeros(Q, dtype=np.int64)
@@ -155,16 +151,8 @@ class SearchContext:
         return self._residue_rows
 
 
-_ctx_cache = {}
-
-
 def search_context(tower) -> SearchContext:
-    key = (tower.p, tower.r, tower.m)
-    ctx = _ctx_cache.get(key)
-    if ctx is None:
-        ctx = SearchContext(tower)
-        _ctx_cache[key] = ctx
-    return ctx
+    return tower.context(SearchContext)
 
 
 def enumerate_primitive_normal(tower):
@@ -192,11 +180,7 @@ def exact_count(tower, f, e1, e2, g) -> int:
     FqPolynomial, or factor indices).
     """
     ctx = search_context(tower)
-    if isinstance(f, QuadraticSpec):
-        a, b, c = f.codes()
-    else:
-        a, b, c = (tower.coerce(x) for x in f)
-    fvals = tower.quad_values(a, b, c)
+    fvals = tower.quad_values(*tower.quad_codes(f))
     return _count_masks(
         ctx, fvals, ctx.prime_mask_of(e1), ctx.prime_mask_of(e2), ctx.g_mask_of(g)
     )
@@ -207,7 +191,7 @@ def find_witness(tower, f):
     ctx = search_context(tower)
     if not isinstance(f, QuadraticSpec):
         f = QuadraticSpec.from_codes(tower, *f)
-    a, b, c = f.codes()
+    a, b, c = tower.quad_codes(f)
     for code in ctx.pn_codes:
         val = tower.add_codes(
             tower.add_codes(
@@ -229,11 +213,7 @@ def verify_sieve_inequality(tower, f, d, g) -> dict:
     the term breakdown, and whether lhs >= rhs.
     """
     ctx = search_context(tower)
-    if isinstance(f, QuadraticSpec):
-        a, b, c = f.codes()
-    else:
-        a, b, c = (tower.coerce(x) for x in f)
-    fvals = tower.quad_values(a, b, c)
+    fvals = tower.quad_values(*tower.quad_codes(f))
     dm = ctx.prime_mask_of(d) if d > 1 else 0
     gm = ctx.g_mask_of(g)
     rem_primes = [i for i, p in enumerate(ctx.primes) if d % p != 0]

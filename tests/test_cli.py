@@ -1,5 +1,8 @@
+import contextlib
 import inspect
+import io
 import json
+import os
 
 import pytest
 
@@ -190,3 +193,28 @@ def test_sieve_g_flag_variants(capsys):
     assert code == 0 and payload["k"] == 3  # all three factors remain
     code, out = run_cli(capsys, "--json", "sieve", "--q", "3", "--m", "4", "--d", "80", "--g", "0,1")
     assert json.loads(out)["k"] == 1
+
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
+
+
+def golden_stdout(argv, drop=()):
+    """--json stdout of one request, re-rendered without the keys in drop."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["--json", *argv]) == 0
+    out = buf.getvalue()
+    if drop:
+        payload = json.loads(out)
+        for key in drop:
+            del payload[key]
+        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return out
+
+
+def test_golden_json_outputs_are_byte_identical():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)["requests"]
+    assert len(golden) == 6
+    for req in golden:
+        assert golden_stdout(req["argv"], req["drop"]) == req["stdout"], req["argv"]

@@ -1,7 +1,9 @@
 import pytest
 
+from ffpn import gf
 from ffpn.fqpoly import (
     FqPolynomial,
+    _embedding_table,
     apply_fq_poly,
     factor_xm1,
     fq_order,
@@ -182,3 +184,29 @@ def test_fq9_coefficients_are_genuine():
     assert sorted(f.degree for f in pf.factors) == [1, 2, 2]
     quadratics = [f for f in pf.factors if f.degree == 2]
     assert any(c >= 3 for f in quadratics for c in f.coeffs)
+
+
+@pytest.mark.parametrize("parts", [[(0, 1)], [(1, 0)], [(2, 1), (1, -1)]])
+def test_poly_stats_refuses_nonpositive_parts(parts):
+    with pytest.raises(ValueError):
+        poly_stats(3, parts)
+
+
+@pytest.mark.parametrize("p, r, m, tables", [(3, 2, 2, "auto"), (3, 2, 3, "off"), (5, 2, 2, "off")])
+def test_embedding_table_is_a_field_embedding(p, r, m, tables):
+    t = build_extension(p, r, m, tables=tables)
+    small = small_field(p, r)
+    emb = _embedding_table(t, small)
+    assert sorted(emb) == t.subfield_codes(degree=r)
+    for u in range(small.Q):
+        for v in range(small.Q):
+            assert emb[small.add_codes(u, v)] == t.add_codes(emb[u], emb[v])
+            assert emb[small.mul_codes(u, v)] == t.mul_codes(emb[u], emb[v])
+
+
+def test_embedding_table_refuses_a_subfield_without_a_root(monkeypatch):
+    t = build_extension(3, 2, 2)
+    # 0 is never a root of an irreducible modulus of degree 2
+    monkeypatch.setattr(gf.FieldTower, "subfield_codes", lambda self, degree=None: [0])
+    with pytest.raises(ArithmeticError, match="no root"):
+        _embedding_table(t, small_field(3, 2))

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ffpn.chars import char_context
 from ffpn.errors import SizeBudgetExceeded
-from ffpn.fqpoly import factor_xm1, poly_stats
+from ffpn.fqpoly import factor_xm1, poly_stats, tower_poly
 from ffpn.gf import build_extension
 from ffpn.numtheory import divisors_of, factorize, multiplicative_stats
 from ffpn.search import (
@@ -366,3 +367,25 @@ def test_context_masks_equal_digit_matrix_reference(p, r, m):
     assert ctx.normal_mask.tolist() == [gb[x] == ctx.all_g_mask for x in range(t.Q)]
     pn = sorted((x for x in normal if ctx.prim_mask[x]), key=lambda x: t.log[x])
     assert ctx.pn_codes.tolist() == pn
+
+
+def test_contexts_belong_to_the_tower_object_not_its_field():
+    # build_extension returns a tabled and an untabled tower of one field as
+    # two objects; each context must be built on, and held by, its own tower
+    on = build_extension(3, 1, 3, tables="on")
+    off = build_extension(3, 1, 3, tables="off")
+    assert on is not off
+    assert search_context(on).tower is on
+    assert char_context(on).tower is on
+    with pytest.raises(SizeBudgetExceeded):
+        search_context(off)
+    with pytest.raises(SizeBudgetExceeded):
+        char_context(off)
+    for t in (on, off):
+        assert tower_poly(t).tower is t
+    # the other order: the untabled tower's TowerPoly first
+    off4 = build_extension(3, 1, 4, tables="off")
+    on4 = build_extension(3, 1, 4, tables="on")
+    assert tower_poly(off4).tower is off4
+    assert tower_poly(on4).tower is on4 and tower_poly(on4).tower.has_tables
+    assert search_context(on4).tp.tower is on4
