@@ -143,13 +143,15 @@ class _CharContext:
             self._mult_tables[key] = tab
         return tab
 
+    def add_values(self, delta):
+        """psi_delta over all Q codes, formed afresh and not kept."""
+        t = self.tower
+        return self.psi0_vals[t.mul_codes_vec(np.arange(t.Q, dtype=np.int64), delta)]
+
     def add_table(self, delta):
         tab = self._add_tables.get(delta)
         if tab is None:
-            t = self.tower
-            prod_codes = t.mul_codes_vec(np.arange(t.Q, dtype=np.int64), delta)
-            tab = self.psi0_vals[prod_codes]
-            self._add_tables[delta] = tab
+            tab = self._add_tables[delta] = self.add_values(delta)
         return tab
 
     def delta_orders(self):
@@ -298,12 +300,7 @@ def freeness_indicator(kind, target, alpha) -> float:
 
     if kind in ("additive", "g"):
         tp = ctx.tp
-        if target == "all":
-            exps = [tp.pf.multiplicity] * len(tp.pf.factors)
-        elif isinstance(target, fqpoly.FqPolynomial):
-            exps = _divisor_exponents(tp, target)
-        else:
-            raise TypeError("additive target must be an FqPolynomial or 'all'")
+        exps = tp.pf.exponents_of(target)
         q = t.q
         support = [i for i, ex in enumerate(exps) if ex > 0]
         Theta = float(
@@ -327,24 +324,6 @@ def freeness_indicator(kind, target, alpha) -> float:
     raise ValueError(f"unknown indicator kind {kind!r}")
 
 
-def _divisor_exponents(tp, g: fqpoly.FqPolynomial):
-    """Exponent vector of a monic divisor of x^m - 1."""
-    exps = []
-    rem = g.monic()
-    for f in tp.pf.factors:
-        e = 0
-        while e < tp.pf.multiplicity:
-            quot, r = rem.divmod(f)
-            if not r.is_zero():
-                break
-            rem = quot
-            e += 1
-        exps.append(e)
-    if not rem.is_one():
-        raise ValueError("g must divide x^m - 1")
-    return exps
-
-
 # ---------------------------------------------------------------------------
 # audits
 
@@ -366,7 +345,7 @@ def orthogonality_audit(tower) -> float:
         s = _csum(roots[(j * np.arange(t.N)) % t.N])
         worst = max(worst, abs(s))
     for delta in range(1, t.Q):
-        worst = max(worst, abs(_csum(ctx.add_table(delta))))
+        worst = max(worst, abs(_csum(ctx.add_values(delta))))
     return worst
 
 

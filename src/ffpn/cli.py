@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit status: 0 for any computed verdict (including "fail" and exception
-findings), 2 for usage errors and a corrupt factor cache file, 3 when
+findings), 2 for usage errors (an unparsable request, or one the math
+refuses: a non-prime p, a d or e that does not divide q^m - 1, a g that is
+not a divisor spec of x^m - 1) and a corrupt factor cache file, 3 when
 factoring or size budgets are exceeded.  Output is byte-deterministic for
 a fixed request and cache state; exact rationals serialize as
 {"num": "...", "den": "..."} and big integers as decimal strings, so
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import chars, gf, search, sieve
-from .errors import CorruptCache, SizeBudgetExceeded, UnfactoredCofactor
+from .errors import CorruptCache, NotPrime, SizeBudgetExceeded, UnfactoredCofactor
 from .fqpoly import factor_xm1
 from .numtheory import FactorCache, factorize, multiplicative_stats
 
@@ -364,7 +366,7 @@ def main(argv=None):
     except (UnfactoredCofactor, SizeBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except CorruptCache as exc:
+    except (CorruptCache, NotPrime, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

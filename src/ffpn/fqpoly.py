@@ -14,6 +14,7 @@ with the i = 0 constant term included.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -163,6 +164,8 @@ def _cosets_mod(d, q):
 
 def xm1_factor_degrees(q, m):
     """(m0, a, [(degree, count), ...]) from coset data alone."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
     p, _r = prime_power_split(q)
     m0, a = m, 0
     while m0 % p == 0:
@@ -268,9 +271,49 @@ class PolyFactorization:
         items.sort(key=lambda t: (t[0].degree, t[0].coeffs))
         return items
 
+    def exponents_of(self, g):
+        """Exponent of each distinct factor in a divisor spec g of x^m - 1.
+
+        g is 'all' (x^m - 1 itself), 1 or None (the unit divisor), an
+        FqPolynomial over this F_q that divides x^m - 1 (up to a unit), or
+        an iterable of indices into self.factors (their squarefree product).
+        Anything else raises ValueError.
+        """
+        s = len(self.factors)
+        if g == "all":
+            return (self.multiplicity,) * s
+        if g is None or g == 1:
+            return (0,) * s
+        if isinstance(g, FqPolynomial):
+            if g.field is not self.field or g.is_zero():
+                raise ValueError(f"g must be a nonzero polynomial over F_{self.q}")
+            rem = g.monic()
+            exps = []
+            for f in self.factors:
+                e = 0
+                while e < self.multiplicity:
+                    quot, r = rem.divmod(f)
+                    if not r.is_zero():
+                        break
+                    rem = quot
+                    e += 1
+                exps.append(e)
+            if not rem.is_one():
+                raise ValueError(f"g = {g.render()} does not divide x^{self.m} - 1")
+            return tuple(exps)
+        try:
+            idx = {operator.index(j) for j in g}
+        except TypeError:
+            raise ValueError(f"not a divisor spec of x^{self.m} - 1: {g!r}") from None
+        if not idx <= set(range(s)):
+            raise ValueError(
+                f"factor indices must lie in range({s}) for x^{self.m} - 1 over F_{self.q}, got {sorted(idx)}"
+            )
+        return tuple(int(j in idx) for j in range(s))
+
     def factor_subset_of(self, g):
-        """Indices of distinct factors dividing g (an FqPolynomial)."""
-        return tuple(j for j, f in enumerate(self.factors) if f.divides(g))
+        """Indices of the distinct factors in a divisor spec g (see exponents_of)."""
+        return tuple(j for j, e in enumerate(self.exponents_of(g)) if e)
 
 
 @lru_cache(maxsize=None)
@@ -386,18 +429,8 @@ class TowerPoly:
                 return poly
         raise AssertionError("x^m - 1 must annihilate")
 
-    def g_factor_indices(self, g):
-        """Normalize a divisor spec to indices of distinct factors in g."""
-        if g == "all":
-            return tuple(range(len(self.pf.factors)))
-        if isinstance(g, FqPolynomial):
-            return self.pf.factor_subset_of(g)
-        if g == 1:
-            return ()
-        return tuple(sorted(set(int(j) for j in g)))
-
     def is_g_free_code(self, code, g):
-        idx = self.g_factor_indices(g)
+        idx = self.pf.factor_subset_of(g)
         return all(self.apply_codes(self.quotients[j], code) != 0 for j in idx)
 
 
@@ -457,7 +490,8 @@ def fq_order(alpha: gf.FieldElement) -> FqPolynomial:
 def is_g_free(alpha: gf.FieldElement, g) -> bool:
     """True iff ((x^m-1)/h) o alpha != 0 for every distinct irreducible h | g.
 
-    g may be an FqPolynomial divisor of x^m - 1, 1, 'all' (x^m - 1 itself),
-    or an iterable of factor indices.  g-free with g = x^m - 1 means normal.
+    g is a divisor spec read by PolyFactorization.exponents_of: 'all'
+    (x^m - 1 itself), 1, an FqPolynomial divisor of x^m - 1, or an iterable
+    of factor indices.  g-free with g = x^m - 1 means normal.
     """
     return tower_poly(alpha.tower).is_g_free_code(alpha.code, g)

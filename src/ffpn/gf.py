@@ -138,7 +138,8 @@ def lex_smallest_irreducible(p, n):
             if is_irreducible(cand, p):
                 mod = cand
                 break
-        assert mod is not None
+        if mod is None:
+            raise ArithmeticError(f"no monic irreducible of degree {n} over F_{p}")
     _modulus_cache[key] = mod
     return mod
 
@@ -339,32 +340,7 @@ class FieldTower:
     def inv_code(self, u):
         if u == 0:
             raise ZeroElement("0 has no inverse")
-        if self.has_tables:
-            return int(self.exp[(-int(self.log[u])) % self.N])
-        # extended Euclid in F_p[x]
-        p = self.p
-        a = _ptrim(self.decode(u))
-        b = self.modulus
-        s0, s1 = (1,), ()
-        while b:
-            dm = len(b) - 1
-            inv_lead = pow(b[-1], p - 2, p)
-            q_acc = [0] * (len(a) - dm + 1) if len(a) > dm else [0]
-            aa = list(a)
-            for i in range(len(aa) - 1, dm - 1, -1):
-                c = aa[i] * inv_lead % p
-                if c:
-                    q_acc[i - dm] = c
-                    for j in range(dm + 1):
-                        aa[i - dm + j] = (aa[i - dm + j] - c * b[j]) % p
-            rem = _ptrim(aa[:dm] if len(aa) > dm else aa)
-            qpoly = _ptrim(q_acc)
-            a, b = b, rem
-            s0, s1 = s1, _psub(s0, _pmul(qpoly, s1, p), p)
-        # a is now gcd (a unit); s0 the Bezout coefficient of the original u
-        lead_inv = pow(a[0], p - 2, p)
-        inv_poly = tuple(c * lead_inv % p for c in s0)
-        return self.encode(_pmod(inv_poly, self.modulus, p))
+        return self.pow_code(u, self.N - 1)
 
     def frobenius_code(self, u, i=1):
         """u^(q^i)."""
@@ -379,7 +355,8 @@ class FieldTower:
         for _ in range(self.n - 1):
             v = self.pow_code(v, self.p)
             acc = self.add_codes(acc, v)
-        assert acc < self.p
+        if acc >= self.p:
+            raise ArithmeticError(f"absolute trace left F_{self.p} in F_{self.Q}")
         return acc
 
     def trace_fq_code(self, u):
@@ -473,7 +450,7 @@ class FieldTower:
             for j in range(ms):
                 baby.setdefault(cur, j)
                 cur = self.mul_codes(cur, g)
-            self._bsgs = (ms, baby, self.inv_code(cur))  # g^(-ms)
+            self._bsgs = (ms, baby, self.pow_code(g, -ms % self.N))  # g^(-ms)
         ms, baby, giant = self._bsgs
         y = u
         for i in range(ms + 1):

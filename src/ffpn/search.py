@@ -101,13 +101,12 @@ class SearchContext:
         self._residue_rows = None
 
     def prime_mask_of(self, e):
-        if self.tower.N % e != 0:
-            raise ValueError("e must divide q^m - 1")
+        if e < 1 or self.tower.N % e != 0:
+            raise ValueError("e must be a positive divisor of q^m - 1")
         return sum(1 << i for i, p in enumerate(self.primes) if e % p == 0)
 
     def g_mask_of(self, g):
-        idx = self.tp.g_factor_indices(g)
-        return sum(1 << j for j in idx)
+        return sum(1 << j for j in self.tp.pf.factor_subset_of(g))
 
     def pair_tables(self):
         """(ADD, MUL) full code tables for the sweep kernel."""

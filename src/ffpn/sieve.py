@@ -47,7 +47,6 @@ class SieveConfig:
     d_primes: tuple
     remaining_primes: tuple
     g_indices: tuple
-    g_in_degrees: tuple
     remaining_degrees: tuple
 
     @property
@@ -146,24 +145,13 @@ def basic_condition(q, m, cache=None):
     return res
 
 
-def _normalize_g(pf, g):
-    if g == "all":
-        return tuple(range(len(pf.factors)))
-    if g == 1 or g is None:
-        return ()
-    if isinstance(g, FqPolynomial):
-        return pf.factor_subset_of(g)
-    return tuple(sorted(set(int(i) for i in g)))
-
-
-def _evaluate_config(q, m, nf, pf, d, g_indices):
-    nprimes = nf.primes()
-    d_primes = tuple(p for p in nprimes if d % p == 0)
-    remaining = tuple(p for p in nprimes if d % p != 0)
-    all_deg = [f.degree for f in pf.factors]
-    g_in = tuple(all_deg[i] for i in g_indices)
+def _evaluate_config(q, m, primes, degrees, d, g_indices):
+    """Sieve report for core (d, g) given the primes of q^m - 1 and the
+    degrees of the distinct factors of x^m - 1; g_indices index degrees."""
+    d_primes = tuple(p for p in primes if d % p == 0)
+    remaining = tuple(p for p in primes if d % p != 0)
     g_set = set(g_indices)
-    rem_deg = tuple(all_deg[i] for i in range(len(all_deg)) if i not in g_set)
+    rem_deg = tuple(deg for i, deg in enumerate(degrees) if i not in g_set)
     config = SieveConfig(
         q=q,
         m=m,
@@ -171,7 +159,6 @@ def _evaluate_config(q, m, nf, pf, d, g_indices):
         d_primes=d_primes,
         remaining_primes=remaining,
         g_indices=tuple(g_indices),
-        g_in_degrees=g_in,
         remaining_degrees=rem_deg,
     )
     delta, lam = sieve_lambda(remaining, rem_deg, q)
@@ -188,14 +175,15 @@ def sieve_report(q, m, d, g="all", cache=None) -> SieveReport:
     """Evaluate the sieve condition q^(m/2) > 3 W(d)^2 Omega(g) Lambda.
 
     d: divisor of q^m - 1 carrying the sieved-in primes; the remaining
-    primes are those of q^m - 1 not dividing d.  g: 'all' (x^m - 1), 1,
-    an FqPolynomial divisor, or an iterable of distinct-factor indices.
+    primes are those of q^m - 1 not dividing d.  g: a divisor spec of
+    x^m - 1 read by PolyFactorization.exponents_of ('all', 1, an
+    FqPolynomial divisor, or distinct-factor indices).
     """
     nf = factorize_qm_minus_1(q, m, cache=cache)
-    if nf.n % d != 0:
-        raise ValueError("d must divide q^m - 1")
+    if d < 1 or nf.n % d != 0:
+        raise ValueError("d must be a positive divisor of q^m - 1")
     pf = factor_xm1(q, m)
-    return _evaluate_config(q, m, nf, pf, d, _normalize_g(pf, g))
+    return _evaluate_config(q, m, nf.primes(), pf.degrees(), d, pf.factor_subset_of(g))
 
 
 def lambda_caseA(q, m_prime) -> Fraction:
@@ -244,20 +232,13 @@ class ThetaReport:
 def theta_ratio(q, m) -> ThetaReport:
     """theta(q, m) = M/m with M = #distinct factors of x^m - 1 of degree < u.
 
-    u is the multiplicative order of q mod m' (1 when m' | q - 1).  Also
-    reports which bound clause applies (1/2, 3/8, or 1/3) and whether the
-    computed ratio satisfies it.
+    u is the multiplicative order of q mod m' (1 when m' | q - 1), which is
+    the largest factor degree: the coset of 1 mod m' has u elements and no
+    coset is longer.  Also reports which bound clause applies (1/2, 3/8, or
+    1/3) and whether the computed ratio satisfies it.
     """
     m0, _a, degs = xm1_factor_degrees(q, m)
-    if m0 == 1:
-        u = 1
-    else:
-        u = 1
-        qq = q % m0
-        v = qq
-        while v != 1:
-            v = v * qq % m0
-            u += 1
+    u = degs[-1][0]
     M = sum(cnt for deg, cnt in degs if deg < u)
     theta = Fraction(M, m)
     g1 = math.gcd(q - 1, m0)
@@ -334,11 +315,11 @@ def auto_sieve(q, m, budget=AUTO_SIEVE_BUDGET, cache=None) -> SieveReport:
     that sieves out the largest primes and largest-degree factors first.
     Best = minimal exact rhs; ties broken by smaller n + k, then smaller d.
     """
-    nf = factorize_qm_minus_1(q, m, cache=cache)
+    primes = factorize_qm_minus_1(q, m, cache=cache).primes()
     pf = factor_xm1(q, m)
-    primes = nf.primes()
+    degrees = pf.degrees()
     t = len(primes)
-    s = len(pf.factors)
+    s = len(degrees)
     configs = []
     if (1 << t) * (1 << s) <= budget:
         for dmask in range(1 << t):
@@ -363,7 +344,7 @@ def auto_sieve(q, m, budget=AUTO_SIEVE_BUDGET, cache=None) -> SieveReport:
     best = None
     best_key = None
     for d, gidx in configs:
-        rep = _evaluate_config(q, m, nf, pf, d, gidx)
+        rep = _evaluate_config(q, m, primes, degrees, d, gidx)
         if rep.rhs is None:
             key = (1, Fraction(0), rep.config.n + rep.config.k, d)
         else:

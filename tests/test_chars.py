@@ -178,6 +178,14 @@ def test_add_char_eval_matches_table():
     assert AddCharacter(t, 5).fq_order().degree >= 1
 
 
+def test_orthogonality_audit_keeps_no_additive_tables():
+    t = build_extension(3, 1, 4)
+    ctx = char_context(t)
+    before = len(ctx._add_tables)
+    assert orthogonality_audit(t) < 1e-9
+    assert len(ctx._add_tables) <= before
+
+
 def test_indicator_rejects_non_divisor_g():
     # x^3 + 1 = (x + 1)^3 does not divide x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) over F_3
     t = build_extension(3, 1, 4)

@@ -62,6 +62,32 @@ def test_corrupt_cache_exits_2(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == "{truncated"
 
 
+_F81_COUNT = ("count", "--p", "3", "--m", "4", "--a", "1", "--b", "0", "--c", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sieve", "--q", "3", "--m", "4", "--d", "7"),
+        ("sieve", "--q", "3", "--m", "4", "--d", "1", "--g", "-1"),
+        ("sieve", "--q", "3", "--m", "4", "--d", "1", "--g", "7"),
+        ("check", "--q", "6", "--m", "2"),
+        ("enumerate", "--p", "4", "--m", "2"),
+        ("witness", "--p", "3", "--m", "2", "--a", "1", "--b", "1", "--c", "1"),
+        _F81_COUNT + ("--e1", "7", "--e2", "80"),
+        _F81_COUNT + ("--e1", "80", "--e2", "80", "--g", "7"),
+        _F81_COUNT + ("--e1", "80", "--e2", "80", "--g", "-1"),
+        ("resolve-pair", "--q", "3", "--m", "0"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_refused_requests_exit_2(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sieve_command(capsys):
     code, out = run_cli(capsys, "--json", "sieve", "--q", "3", "--m", "18", "--d", "14")
     payload = json.loads(out)

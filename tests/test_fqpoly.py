@@ -178,6 +178,49 @@ def test_factor_subset_of():
     assert all(pf.factors[i].degree == 1 for i in idx)
 
 
+@pytest.mark.parametrize("q,m", [(3, 4), (3, 6), (9, 5)])
+def test_exponents_of_reads_every_divisor(q, m):
+    pf = factor_xm1(q, m)
+    s = len(pf.factors)
+    for poly, exps in pf.divisors():
+        assert pf.exponents_of(poly) == exps
+        assert pf.factor_subset_of(poly) == tuple(j for j in range(s) if exps[j])
+    assert pf.exponents_of("all") == (pf.multiplicity,) * s
+    assert pf.exponents_of(1) == pf.exponents_of(None) == (0,) * s
+    assert pf.exponents_of([s - 1, 0, 0]) == (1,) + (0,) * (s - 2) + (1,)
+
+
+def test_exponents_of_multiplicity_three():
+    # x^6 - 1 = (x^2 - 1)^3 over F_3
+    pf = factor_xm1(3, 6)
+    assert pf.multiplicity == 3
+    cube = pf.factors[0].pow(3)
+    assert pf.exponents_of(cube) == (3, 0)
+    assert pf.exponents_of(cube * pf.factors[1]) == (3, 1)
+    with pytest.raises(ValueError, match="does not divide"):
+        pf.exponents_of(pf.factors[0].pow(4))
+
+
+@pytest.mark.parametrize("spec", [7, 0, "al", "0,1", [0.5], [[0]], object()])
+def test_exponents_of_refuses_what_is_not_a_spec(spec):
+    with pytest.raises(ValueError, match="not a divisor spec"):
+        factor_xm1(3, 4).exponents_of(spec)
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_factoring_refuses_m_below_1(m):
+    # m = 0 used to spin forever stripping factors of p from 0
+    with pytest.raises(ValueError, match="m must be positive"):
+        factor_xm1(3, m)
+
+
+def test_exponents_of_refuses_a_foreign_field():
+    pf = factor_xm1(3, 4)
+    other = factor_xm1(9, 4).field
+    with pytest.raises(ValueError, match="over F_3"):
+        pf.exponents_of(FqPolynomial(other, (2, 1)))
+
+
 def test_fq9_coefficients_are_genuine():
     # x^5 - 1 over F9 has two quadratic factors with coefficients outside F3
     pf = factor_xm1(9, 5)

@@ -202,6 +202,23 @@ def test_inverse_without_tables():
         assert t.mul_codes(a, t.inv_code(a)) == 1
 
 
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 4)])
+def test_untabled_inverse_matches_tables(p, n):
+    twith = T(p, 1, n)
+    twout = T(p, 1, n, tables="off")
+    assert not twout.has_tables
+    for code in range(1, twith.Q):
+        assert twout.inv_code(code) == twith.inv_code(code)
+
+
+def test_trace_check_raises_under_optimization(monkeypatch):
+    # the F_p range check is a raise, not an assert that python -O strips
+    t = T(3, 1, 3, tables="off")
+    monkeypatch.setattr(t, "add_codes", lambda u, v: t.p)
+    with pytest.raises(ArithmeticError, match="absolute trace left F_3"):
+        t.trace_abs_code(5)
+
+
 def test_subfield():
     t = T(3, 2, 2)
     sub = t.subfield_codes()

@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffpn.chars import char_context
+from ffpn.chars import char_context, freeness_indicator
 from ffpn.errors import SizeBudgetExceeded
-from ffpn.fqpoly import factor_xm1, poly_stats, tower_poly
+from ffpn.fqpoly import FqPolynomial, factor_xm1, is_g_free, poly_stats, tower_poly
 from ffpn.gf import build_extension
 from ffpn.numtheory import divisors_of, factorize, multiplicative_stats
+from ffpn.sieve import sieve_report
 from ffpn.search import (
     QuadraticSpec,
     quadratic_orbit,
@@ -389,3 +390,31 @@ def test_contexts_belong_to_the_tower_object_not_its_field():
     assert tower_poly(off4).tower is off4
     assert tower_poly(on4).tower is on4 and tower_poly(on4).tower.has_tables
     assert search_context(on4).tp.tower is on4
+
+
+# Divisor specs of x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) over F_3 that name no
+# divisor: indices outside range(3), the zero polynomial and x^3 + x^2 + 1.
+_BAD_G_SPECS = {
+    "index-3": lambda field: [3],
+    "index-7": lambda field: (0, 7),
+    "index-minus-1": lambda field: [-1],
+    "zero-polynomial": lambda field: FqPolynomial(field, ()),
+    "non-divisor": lambda field: FqPolynomial(field, (1, 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_G_SPECS))
+def test_bad_g_specs_are_refused_everywhere(name):
+    t = build_extension(3, 1, 4)
+    g = _BAD_G_SPECS[name](factor_xm1(3, 4).field)
+    el = t.element(5)
+    with pytest.raises(ValueError):
+        is_g_free(el, g)
+    with pytest.raises(ValueError):
+        exact_count(t, (1, 0, 1), t.N, t.N, g)
+    with pytest.raises(ValueError):
+        sieve_report(3, 4, 1, g)
+    with pytest.raises(ValueError):
+        freeness_indicator("g", g, el)
+    with pytest.raises(ValueError):
+        search_context(t).g_mask_of(g)

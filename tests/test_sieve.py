@@ -186,6 +186,17 @@ def test_theta_ratio_examples():
     assert (r.u, r.M, r.theta) == (1, 0, Fraction(0))
 
 
+def test_theta_u_is_the_order_of_q_mod_m_prime():
+    # u = ord_{m'}(q), with m' the part of m prime to 3 (u = 1 when m' = 1)
+    for q in (3, 9, 27, 81, 243, 729):
+        for m in range(1, 200):
+            m0 = m
+            while m0 % 3 == 0:
+                m0 //= 3
+            u = next(k for k in range(1, m0 + 1) if pow(q, k, m0) == 1 % m0)
+            assert theta_ratio(q, m).u == u, (q, m)
+
+
 def test_theta_clause_bounds_hold_widely():
     for q in (3, 9, 27, 81):
         for m in range(2, 40):
