@@ -267,12 +267,20 @@ class FieldTower:
         return code
 
     def coerce(self, other):
-        """Accept FieldElement, int code, or coefficient iterable."""
+        """Accept FieldElement, int code, or coefficient iterable.
+
+        An int below 0 is reduced mod p into the prime field; an int code
+        from Q up names no element and raises ValueError.
+        """
         if isinstance(other, FieldElement):
             if other.tower is not self:
                 raise ValueError("element from a different tower")
             return other.code
         if isinstance(other, int):
+            if other >= self.Q:
+                raise ValueError(
+                    f"code {other} names no element of F_{self.Q} (codes run to {self.Q - 1})"
+                )
             return other % self.p if other < 0 else other
         return self.encode(other)
 

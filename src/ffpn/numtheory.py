@@ -17,7 +17,9 @@ import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
+
+import numpy as np
 
 from .errors import CorruptCache, NotPrime, UnfactoredCofactor
 
@@ -35,17 +37,24 @@ _small_primes_lock = threading.Lock()
 
 
 def small_primes():
-    """All primes up to TRIAL_LIMIT, as a list (built once, cached)."""
+    """All primes up to TRIAL_LIMIT, ascending, built once and cached.
+
+    A numpy boolean sieve of Eratosthenes finds them; the list holds Python
+    ints, not numpy scalars, because trial division takes rem % p on
+    integers far beyond int64.
+    """
     global _small_primes_cache
     if _small_primes_cache is None:
         with _small_primes_lock:
             if _small_primes_cache is None:
-                sieve = bytearray([1]) * (TRIAL_LIMIT + 1)
-                sieve[0] = sieve[1] = 0
-                for i in range(2, int(TRIAL_LIMIT**0.5) + 1):
+                sieve = np.ones(TRIAL_LIMIT + 1, dtype=bool)
+                sieve[:2] = False
+                for i in range(2, isqrt(TRIAL_LIMIT) + 1):
                     if sieve[i]:
-                        sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-                _small_primes_cache = [i for i in range(TRIAL_LIMIT + 1) if sieve[i]]
+                        sieve[i * i :: i] = False
+                primes = np.flatnonzero(sieve)
+                del sieve  # before the list of ints is built: keeps the peak low
+                _small_primes_cache = primes.tolist()
     return _small_primes_cache
 
 

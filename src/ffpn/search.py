@@ -109,33 +109,45 @@ class SearchContext:
         return sum(1 << j for j in self.tp.pf.factor_subset_of(g))
 
     def pair_tables(self):
-        """(ADD, MUL) full code tables for the sweep kernel."""
+        """(ADD, MUL) full code tables for the sweep kernel.
+
+        ADD grows one digit at a time: codes are base-p digit vectors, so
+        with u = d p^k + u', v = e p^k + v' (u', v' < p^k) the sum's code is
+        ((d + e) mod p) p^k + ADD_k[u', v'].  MUL is exp of the summed logs,
+        built a 64th of the rows at a time, so its index temporary stays an
+        eighth of a table; row and column 0 stay 0.
+        """
         t = self.tower
         if t.Q > PAIR_TABLE_LIMIT:
             raise SizeBudgetExceeded(
                 f"pair-sweep tables capped at {PAIR_TABLE_LIMIT} elements"
             )
         if self._add_table is None:
-            Q, N = t.Q, t.N
-            digits = t.digits_all().astype(np.int16)
-            pw = np.array(t._pw[: t.n], dtype=np.int32)
-            add = np.empty((Q, Q), dtype=np.int32)
-            for u in range(Q):
-                add[u] = ((digits[u] + digits) % t.p).astype(np.int32) @ pw
+            Q, p = t.Q, t.p
+            d = np.arange(p, dtype=np.int32)
+            digit_sum = (d[:, None] + d) % p
+            add = np.zeros((1, 1), dtype=np.int32)
+            for pw in t._pw[: t.n]:
+                k = len(add)
+                add = (pw * digit_sum)[:, None, :, None] + add[None, :, None, :]
+                add = add.reshape(p * k, p * k)
+            log = t.log.astype(np.intp)
+            exp2 = np.concatenate((t.exp, t.exp)).astype(np.int32)
             mul = np.zeros((Q, Q), dtype=np.int32)
-            logs = t.log[1:]
-            for u in range(1, Q):
-                mul[u, 1:] = t.exp[(int(t.log[u]) + logs) % N]
+            step = -(-Q // 64)
+            for u0 in range(1, Q, step):
+                u1 = min(u0 + step, Q)
+                mul[u0:u1, 1:] = exp2[log[u0:u1, None] + log[None, 1:]]
             self._add_table = add
             self._mul_table = mul
         return self._add_table, self._mul_table
 
     def residue_rows(self):
-        """(rad, rows, lres) for the sweep's cover bitsets over Z/rad, rad = rad(N).
+        """(rad, code_rows): the sweep's cover bitsets over Z/rad, rad = rad(N).
 
-        Bit x of rows[l] is set iff x + l is coprime to rad (a window of one
-        coprimality vector); lres[code] = dlog(code) mod rad, lres[0] = rad
-        picks the empty row (g(alpha) = 0).
+        code_rows[code] has bit x set iff x + dlog(code) is coprime to rad, a
+        window of one coprimality vector; code_rows[0] is empty (g(alpha) =
+        0 witnesses nothing).  One row of ceil(rad / 64) words per code.
         """
         if self._residue_rows is None:
             rad = math.prod(self.primes)
@@ -146,7 +158,7 @@ class SearchContext:
             )
             lres = self.tower.log % rad
             lres[0] = rad
-            self._residue_rows = (rad, rows.view("<u8"), lres)
+            self._residue_rows = (rad, rows.view("<u8")[lres])
         return self._residue_rows
 
 
@@ -171,15 +183,25 @@ def _count_masks(ctx, fvals, e1m, e2m, gm):
     return int(np.count_nonzero((ctx.free_bits[sel] & e2m) == e2m))
 
 
+def _quadratic(tower, f):
+    """f admitted as a QuadraticSpec (a != 0, b^2 != ac), else ValueError.
+
+    f is a QuadraticSpec or a triple of codes, elements or digit vectors.
+    """
+    if isinstance(f, QuadraticSpec):
+        return f
+    return QuadraticSpec.from_codes(tower, *f)
+
+
 def exact_count(tower, f, e1, e2, g) -> int:
     """#{alpha : alpha e1-free and g-free, f(alpha) e2-free}.
 
-    alpha = 0 and the zeros of f are excluded from the domain.  e1, e2 are
-    divisors of q^m - 1; g is a divisor spec of x^m - 1 ('all', 1, an
-    FqPolynomial, or factor indices).
+    alpha = 0 and the zeros of f are excluded from the domain.  f must be
+    admissible, as for find_witness.  e1, e2 are divisors of q^m - 1; g is
+    a divisor spec of x^m - 1 ('all', 1, an FqPolynomial, or factor indices).
     """
     ctx = search_context(tower)
-    fvals = tower.quad_values(*tower.quad_codes(f))
+    fvals = tower.quad_values(*tower.quad_codes(_quadratic(tower, f)))
     return _count_masks(
         ctx, fvals, ctx.prime_mask_of(e1), ctx.prime_mask_of(e2), ctx.g_mask_of(g)
     )
@@ -188,9 +210,7 @@ def exact_count(tower, f, e1, e2, g) -> int:
 def find_witness(tower, f):
     """First primitive normal alpha (by dlog) with f(alpha) primitive."""
     ctx = search_context(tower)
-    if not isinstance(f, QuadraticSpec):
-        f = QuadraticSpec.from_codes(tower, *f)
-    a, b, c = tower.quad_codes(f)
+    a, b, c = tower.quad_codes(_quadratic(tower, f))
     for code in ctx.pn_codes:
         val = tower.add_codes(
             tower.add_codes(
@@ -209,7 +229,8 @@ def verify_sieve_inequality(tower, f, d, g) -> dict:
 
     d: divisor of q^m - 1 (core primes); g: core divisor spec of x^m - 1.
     The remaining primes/factors are the complements.  Returns lhs, rhs,
-    the term breakdown, and whether lhs >= rhs.
+    the term breakdown, and whether lhs >= rhs.  Unlike exact_count it does
+    not check that f is admissible (a != 0, b^2 != ac).
     """
     ctx = search_context(tower)
     fvals = tower.quad_values(*tower.quad_codes(f))
@@ -281,7 +302,7 @@ class PairReport:
 def _sweep_context(p, r, m):
     ctx = search_context(gf.build_extension(p, r, m))
     ctx.pair_tables()  # first: it refuses fields above PAIR_TABLE_LIMIT
-    ctx.residue_rows()  # (rad(N) + 1) x rad(N) bits
+    ctx.residue_rows()  # Q x rad(N) bits
     return ctx
 
 
@@ -291,16 +312,26 @@ def _sweep_block(args):
     Each admissible monic g = x^2 + b'x + c' (c' != b'^2) carries a cover:
     the residues x mod rad(N) for which some alpha probed so far makes
     a g(alpha) primitive whenever dlog(a) = x (mod rad).  Round i ORs in
-    the cover row of g(alpha_i) and drops the g whose cover is full; the
-    residues left uncovered after the last round expand to the bad triples
-    (a, a b', a c').  Each round counts the (f, alpha) probes of the plain
-    scan: N / rad for every uncovered residue of every surviving g.
+    the cover row of g(alpha_i); the residues left uncovered after the last
+    round expand to the bad triples (a, a b', a c').  Each round counts the
+    (f, alpha) probes of the plain scan: N / rad for every uncovered residue
+    of every g.
+
+    Rows whose cover is full stay in place until they are half or more of
+    the rows, then are dropped all at once.  That changes nothing: a full
+    row counts no probe, gains no fresh residue, stays full and expands to
+    no bad triple, and dropping keeps the order of the rest.  While fewer
+    than want_samples witnesses are kept, round i adds one: from the first
+    row whose cover grew, the lowest residue x it newly covered, as
+    (a, a b', a c', alpha_i, a g(alpha_i)) with a = exp[x].
     """
     p, r, m, ib0, ib1, want_samples = args
     ctx = _sweep_context(p, r, m)
     tower = ctx.tower
     add, mul = ctx.pair_tables()
-    rad, rows, lres = ctx.residue_rows()
+    add_flat = add.ravel()
+    rad, code_rows = ctx.residue_rows()
+    words = code_rows.shape[1]
     # b' and c' sweep order: zero first, then ascending discrete log
     order = np.concatenate(([0], tower.exp)).astype(np.int64)
     Q, N = tower.Q, tower.N
@@ -314,7 +345,7 @@ def _sweep_block(args):
     bb = B[adm]
     cc = C[adm]
     checked = len(bb) * N
-    cover = np.zeros((len(bb), rows.shape[1]), dtype=rows.dtype)
+    cover = np.zeros((len(bb), words), dtype=code_rows.dtype)
     uncovered = np.full(len(bb), rad)
     samples = []
     probes = 0
@@ -322,24 +353,28 @@ def _sweep_block(args):
         if not len(bb):
             break
         probes += per_residue * int(uncovered.sum())
-        gv = add[add[int(pn_sq[i])][mul[int(pn[i])][bb]], cc]
-        hit = rows[lres[gv]]
+        # Q * (alpha^2 + alpha b') for every b', then + c' in one flat gather
+        uq = add[pn_sq[i]][mul[pn[i]]].astype(np.int64) * Q
+        gv = add_flat[uq[bb] + cc]
+        new = cover | np.take(code_rows, gv, axis=0)
+        covered = np.bitwise_count(new[:, 0]).astype(np.int64)
+        for w in range(1, words):
+            covered += np.bitwise_count(new[:, w])
+        unc = rad - covered
         if want_samples and len(samples) < want_samples:
-            fresh = hit & ~cover
-            j = int(np.argmax(fresh.any(axis=1)))
-            if fresh[j].any():
+            j = int(np.argmax(unc < uncovered))
+            if unc[j] < uncovered[j]:
                 # the first residue x newly witnessed; a = exp[x] has dlog x
-                x = int(np.argmax(np.unpackbits(fresh[j].view(np.uint8), bitorder="little")))
+                fresh = new[j] & ~cover[j]
+                x = int(np.argmax(np.unpackbits(fresh.view(np.uint8), bitorder="little")))
                 a = int(tower.exp[x])
                 f = (a, int(mul[a][bb[j]]), int(mul[a][cc[j]]))
                 samples.append((*f, int(pn[i]), int(mul[a][gv[j]])))
-        cover |= hit
-        uncovered = rad - np.bitwise_count(cover).sum(axis=1, dtype=np.int64)
-        keep = uncovered > 0
-        bb = bb[keep]
-        cc = cc[keep]
-        cover = cover[keep]
-        uncovered = uncovered[keep]
+        cover, uncovered = new, unc
+        if 2 * np.count_nonzero(uncovered) <= len(uncovered):
+            live = np.flatnonzero(uncovered)
+            bb, cc, uncovered = bb[live], cc[live], uncovered[live]
+            cover = np.take(cover, live, axis=0)
     bads = []
     if len(bb):
         clear = np.unpackbits(cover.view(np.uint8), axis=1, bitorder="little")[:, :rad] == 0

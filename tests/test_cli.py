@@ -88,6 +88,25 @@ def test_refused_requests_exit_2(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # codes from Q up name no field element
+        ("witness", "--p", "3", "--m", "2", "--a", "9", "--b", "1", "--c", "1"),
+        ("count", "--p", "3", "--m", "4", "--a", "81", "--b", "0", "--c", "1", "--e1", "80", "--e2", "80"),
+        # count admits f as witness does: a != 0, b^2 != ac
+        ("count", "--p", "3", "--m", "4", "--a", "0", "--b", "0", "--c", "1", "--e1", "1", "--e2", "80"),
+        ("count", "--p", "3", "--m", "4", "--a", "1", "--b", "1", "--c", "1", "--e1", "1", "--e2", "80"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_field_codes_and_inadmissible_counts_exit_2(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sieve_command(capsys):
     code, out = run_cli(capsys, "--json", "sieve", "--q", "3", "--m", "18", "--d", "14")
     payload = json.loads(out)

@@ -166,6 +166,20 @@ def test_small_primes_sieve():
     assert sp[-1] < 10**6 and len(sp) == 78498
 
 
+def test_small_primes_equal_plain_sieve_as_python_ints():
+    sp = small_primes()
+    assert len(sp) == 78498
+    limit = 10**6
+    plain = bytearray([1]) * (limit + 1)
+    plain[0] = plain[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if plain[i]:
+            plain[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+    assert sp == [i for i in range(limit + 1) if plain[i]]
+    # trial division takes rem % p on integers beyond int64
+    assert all(type(p) is int for p in sp)
+
+
 def test_int_factorization_validates():
     with pytest.raises(AssertionError):
         IntFactorization(n=6, factors=((2, 1),))

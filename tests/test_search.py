@@ -418,3 +418,31 @@ def test_bad_g_specs_are_refused_everywhere(name):
         freeness_indicator("g", g, el)
     with pytest.raises(ValueError):
         search_context(t).g_mask_of(g)
+
+
+@pytest.mark.parametrize("p,r,m", [(3, 1, 4), (3, 1, 6), (3, 2, 3), (5, 1, 4)])
+def test_pair_tables_equal_row_by_row_reference(p, r, m):
+    t = build_extension(p, r, m)
+    add, mul = search_context(t).pair_tables()
+    Q, N = t.Q, t.N
+    digits = t.digits_all().astype(np.int16)
+    pw = np.array([p**i for i in range(t.n)], dtype=np.int32)
+    ref_add = np.empty((Q, Q), dtype=np.int32)
+    for u in range(Q):
+        ref_add[u] = ((digits[u] + digits) % p).astype(np.int32) @ pw
+    ref_mul = np.zeros((Q, Q), dtype=np.int32)
+    for u in range(1, Q):
+        ref_mul[u, 1:] = t.exp[(int(t.log[u]) + t.log[1:]) % N]
+    assert add.dtype == mul.dtype == np.int32
+    assert add.tobytes() == ref_add.tobytes()
+    assert mul.tobytes() == ref_mul.tobytes()
+
+
+@pytest.mark.parametrize("f", [(0, 0, 1), (1, 1, 1), (81, 0, 1)])
+def test_exact_count_refuses_what_find_witness_refuses(f):
+    # a = 0, b^2 = ac, and a code outside F_81
+    t = build_extension(3, 1, 4)
+    with pytest.raises(ValueError):
+        find_witness(t, f)
+    with pytest.raises(ValueError):
+        exact_count(t, f, 1, t.N, 1)
