@@ -114,8 +114,8 @@ class SearchContext:
         ADD grows one digit at a time: codes are base-p digit vectors, so
         with u = d p^k + u', v = e p^k + v' (u', v' < p^k) the sum's code is
         ((d + e) mod p) p^k + ADD_k[u', v'].  MUL is exp of the summed logs,
-        built a 64th of the rows at a time, so its index temporary stays an
-        eighth of a table; row and column 0 stay 0.
+        built a 64th of the rows at a time, so its intp index temporary
+        (Q/64 x Q) stays a 32nd of the int32 table; row and column 0 stay 0.
         """
         t = self.tower
         if t.Q > PAIR_TABLE_LIMIT:

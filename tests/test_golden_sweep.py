@@ -61,15 +61,16 @@ def test_sweep_reports_are_byte_identical(monkeypatch):
         assert got == golden[case_key(q, m, samples, pool)], (q, m, samples, pool)
 
 
-@pytest.mark.parametrize("q,m,samples,blocks", [(3, 3, 10, 2), (3, 4, 40, 3)])
-def test_golden_sweep_samples_span_blocks(q, m, samples, blocks):
-    # the edge cases above draw their witness samples from several blocks
-    Q = q**m
+@pytest.mark.parametrize("p,r,m,samples,blocks", [(3, 1, 3, 10, 2), (3, 1, 4, 40, 3)])
+def test_golden_sweep_samples_span_blocks(p, r, m, samples, blocks):
+    # the edge cases above (q = p^r) draw their witness samples from several blocks
+    Q = p ** (r * m)
     got = used = 0
     for ib in range(0, Q, search_mod.SWEEP_BLOCK):
         if got >= samples:
             break
-        got += len(search_mod._sweep_block((3, 1, m, ib, min(ib + search_mod.SWEEP_BLOCK, Q), samples))[4])
+        block = (p, r, m, ib, min(ib + search_mod.SWEEP_BLOCK, Q), samples)
+        got += len(search_mod._sweep_block(block)[4])
         used += 1
     assert used == blocks
 

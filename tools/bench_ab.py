@@ -4,8 +4,9 @@
 
 Exports BASE with `git archive` into a temporary directory, then for each
 WORKLOAD:PAIRS runs `python3 perfbench/run.py --workload W --seed S
---seconds T` PAIRS times on each side, alternating which side goes first
-and using seed S = 1, 2, ... for pair 1, 2, ...  Each side runs its own
+--seconds T` PAIRS times on each side, with T the run_seconds of
+BENCHMARK.json, alternating which side goes first and using seed
+S = 1, 2, ... for pair 1, 2, ...  Each side runs its own
 perfbench/ and src/.  Writes BENCH_<number>.json at the repository root
 with every run's end-to-end metrics and, per workload and metric, each
 side's median and quartiles and how many pairs the working tree won
@@ -95,12 +96,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--number", required=True, type=int, help="writes BENCH_<number>.json")
-    ap.add_argument("--seconds", type=float, help="per run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("plan", nargs="+", metavar="WORKLOAD:PAIRS")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
     plan = []
     for item in args.plan:
