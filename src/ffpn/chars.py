@@ -247,8 +247,7 @@ def char_sum_c0_factored(chi1, chi2, psi, a, b) -> complex:
     t = chi1.tower
     ctx = char_context(t)
     chi3 = mult_product(chi1, chi2)
-    codes = np.arange(t.Q, dtype=np.int64)
-    lin = t.add_codes_vec(t.mul_codes_vec(codes, t.coerce(a)), t.coerce(b))
+    lin = t.quad_values(0, t.coerce(a), t.coerce(b))
     terms = (
         ctx.mult_table(chi3.d, chi3.j)
         * ctx.mult_table(chi2.d, chi2.j)[lin]

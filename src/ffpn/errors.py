@@ -21,6 +21,14 @@ class UnfactoredCofactor(FfpnError):
         super().__init__(message or f"unfactored composite cofactor {cofactor}")
 
 
+class FactorMismatch(FfpnError, ArithmeticError, AssertionError):
+    """Factors whose product is not the integer they are said to factor.
+
+    Raised, not asserted, so python -O keeps the check; it is still an
+    AssertionError for callers that caught the assert it replaced.
+    """
+
+
 class CorruptCache(FfpnError):
     """A factor cache file that is not a JSON object of factor lists."""
 

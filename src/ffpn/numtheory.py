@@ -21,7 +21,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import CorruptCache, NotPrime, UnfactoredCofactor
+from .errors import CorruptCache, FactorMismatch, NotPrime, UnfactoredCofactor
 
 TRIAL_LIMIT = 10**6
 _RHO_ATTEMPTS = 24
@@ -184,10 +184,13 @@ class IntFactorization:
     probable: tuple = ()
 
     def __post_init__(self):
-        assert self.n >= 1
-        assert prod(p**e for p, e in self.factors) == self.n
+        if self.n < 1:
+            raise ValueError(f"only positive integers factor, got {self.n}")
+        if prod(p**e for p, e in self.factors) != self.n:
+            raise FactorMismatch(f"factors {self.factors} do not multiply to {self.n}")
         ps = [p for p, _ in self.factors]
-        assert ps == sorted(ps) and len(ps) == len(set(ps))
+        if ps != sorted(ps) or len(ps) != len(set(ps)):
+            raise ValueError(f"primes {ps} are not strictly increasing")
 
     def primes(self):
         return [p for p, _ in self.factors]
@@ -477,8 +480,6 @@ def multiplicative_stats(f: IntFactorization) -> MultStats:
 
 def omega_table(limit):
     """numpy uint8 array t with t[n] = omega(n) for 0 <= n <= limit."""
-    import numpy as np
-
     t = np.zeros(limit + 1, dtype=np.uint8)
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False

@@ -94,8 +94,8 @@ class SearchContext:
         self.prim_mask = (fb & self.all_prime_mask) == self.all_prime_mask
         self.prim_mask[0] = False
         self.normal_mask = (gb & self.all_g_mask) == self.all_g_mask
-        pn = np.nonzero(self.prim_mask & self.normal_mask)[0]
-        self.pn_codes = pn[np.argsort(dlog[pn], kind="stable")].astype(np.int64)
+        # exp lists the nonzero codes in discrete-log order already
+        self.pn_codes = tower.exp[(self.prim_mask & self.normal_mask)[tower.exp]]
         self._add_table = None
         self._mul_table = None
         self._residue_rows = None

@@ -333,6 +333,77 @@ def test_quad_values_equal_scalar_evaluation(p, r, m):
         assert vals.tolist() == [_scalar_quad(t, a, b, c, x) for x in range(t.Q)]
 
 
+def _digit_row_quad(t, a, b, c):
+    # a x^2 + b x + c added as base-p digit rows, products through the tables
+    x = np.arange(t.Q, dtype=np.int64)
+
+    def times(u, v):
+        out = np.zeros(t.Q, dtype=np.int64)
+        nz = (u != 0) & (v != 0)
+        out[nz] = t.exp[(t.log[u[nz]] + t.log[np.broadcast_to(v, u.shape)[nz]]) % t.N]
+        return out
+
+    pw = np.array([t.p**i for i in range(t.n)], dtype=np.int64)
+    terms = (times(times(x, x), a), times(x, b), np.full(t.Q, c, dtype=np.int64))
+    digits = sum((u[:, None] // pw) % t.p for u in terms)
+    return (digits % t.p) @ pw
+
+
+@pytest.mark.parametrize("p,r,m", [(2, 1, 7), (2, 2, 3), (3, 1, 6), (3, 2, 2), (5, 1, 3), (7, 1, 3)])
+def test_quad_values_equal_digit_rows_for_every_zero_pattern(p, r, m):
+    t = T(p, r, m)
+    rng = random.Random(17 * p + m)
+    for _ in range(3):
+        nonzero = [rng.randrange(1, t.Q) for _ in range(3)]
+        for pattern in range(8):
+            a, b, c = (v if (pattern >> i) & 1 else 0 for i, v in enumerate(nonzero))
+            vals = t.quad_values(a, b, c)
+            assert vals.dtype == np.int64
+            assert vals.tolist() == _digit_row_quad(t, a, b, c).tolist(), (a, b, c)
+
+
+@pytest.mark.parametrize("p,r,m", [(2, 1, 5), (2, 1, 1), (3, 1, 4), (5, 2, 1), (7, 1, 2)])
+def test_zech_table_is_log_of_one_plus_power(p, r, m):
+    t = T(p, r, m)
+    want = []
+    for k in range(t.N):
+        s = t.add_codes(1, int(t.exp[k]))
+        want.append(-1 if s == 0 else t.dlog_code(s))
+    assert t.zech_table().tolist() == want
+
+
+def test_quad_values_builds_no_digit_rows():
+    t = FieldTower(3, 1, 7, build_tables=True)
+    for f in [(1, 0, 0), (0, 5, 7), (2, 3, 0), (4, 9, 11)]:
+        t.quad_values(*f)
+    assert t._digits_all is None
+
+
+def test_towers_of_one_field_share_tables_not_contexts():
+    from ffpn.fqpoly import tower_poly
+
+    t25, t52 = T(3, 2, 5), T(3, 5, 2)
+    assert t25 is not t52 and t25.Q == t52.Q
+    assert t25.exp is t52.exp and t25.log is t52.log
+    assert t25.generator_code == t52.generator_code
+    assert t25.n_factorization() is t52.n_factorization()
+    assert tower_poly(t25) is not tower_poly(t52)
+    assert tower_poly(t25).tower is t25 and tower_poly(t52).tower is t52
+    assert t25.quad_values(5, 7, 11).tolist() == t52.quad_values(5, 7, 11).tolist()
+
+
+def test_tabled_and_untabled_towers_share_nothing():
+    on = T(5, 1, 4, tables="on")
+    off = T(5, 2, 2, tables="off")
+    off_same = T(5, 1, 4, tables="off")
+    on_twin = T(5, 2, 2)
+    for t in (off, off_same):
+        assert not t.has_tables and t.exp is None and t.log is None and t._zech is None
+        with pytest.raises(SizeBudgetExceeded):
+            t.zech_table()
+    assert on_twin.exp is on.exp and on_twin.has_tables
+
+
 def test_vectorized_products_refuse_untabled_tower():
     t = T(3, 1, 4, tables="off")
     with pytest.raises(SizeBudgetExceeded):

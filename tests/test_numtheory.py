@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +186,33 @@ def test_small_primes_equal_plain_sieve_as_python_ints():
 def test_int_factorization_validates():
     with pytest.raises(AssertionError):
         IntFactorization(n=6, factors=((2, 1),))
+
+
+_BAD_FACTORIZATIONS = [
+    (6, ((2, 1),), ArithmeticError),  # product 2, not 6
+    (6, ((3, 1), (2, 1)), ValueError),  # primes out of order
+    (4, ((2, 1), (2, 1)), ValueError),  # a prime listed twice
+    (0, (), ValueError),
+]
+
+
+def test_int_factorization_raises_under_optimization():
+    # python -O strips assert statements; these checks must still raise
+    for n, factors, exc in _BAD_FACTORIZATIONS:
+        with pytest.raises(exc):
+            IntFactorization(n=n, factors=factors)
+    code = (
+        "from ffpn.numtheory import IntFactorization\n"
+        f"for n, factors, exc in {[(n, f, e.__name__) for n, f, e in _BAD_FACTORIZATIONS]!r}:\n"
+        "    try:\n"
+        "        IntFactorization(n=n, factors=factors)\n"
+        "    except Exception as err:\n"
+        "        print(exc in [c.__name__ for c in type(err).__mro__])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["True"] * len(_BAD_FACTORIZATIONS), out.stderr
 
 
 def test_unfactored_cofactor_carries_value(monkeypatch):

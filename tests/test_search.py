@@ -370,6 +370,18 @@ def test_context_masks_equal_digit_matrix_reference(p, r, m):
     assert ctx.pn_codes.tolist() == pn
 
 
+@pytest.mark.parametrize(
+    "p,r,m", [(3, 1, 2), (3, 1, 5), (3, 2, 3), (3, 3, 2), (2, 1, 6), (2, 3, 2), (5, 1, 3), (7, 1, 2)]
+)
+def test_pn_codes_equal_argsort_construction(p, r, m):
+    t = build_extension(p, r, m)
+    ctx = search_context(t)
+    pn = np.nonzero(ctx.prim_mask & ctx.normal_mask)[0]
+    want = pn[np.argsort(t.log[pn], kind="stable")].astype(np.int64)
+    assert ctx.pn_codes.dtype == np.int64
+    assert ctx.pn_codes.tolist() == want.tolist()
+
+
 def test_contexts_belong_to_the_tower_object_not_its_field():
     # build_extension returns a tabled and an untabled tower of one field as
     # two objects; each context must be built on, and held by, its own tower
