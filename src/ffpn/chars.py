@@ -146,7 +146,7 @@ class _CharContext:
     def add_values(self, delta):
         """psi_delta over all Q codes, formed afresh and not kept."""
         t = self.tower
-        return self.psi0_vals[t.mul_codes_vec(np.arange(t.Q, dtype=np.int64), delta)]
+        return self.psi0_vals[t.quad_values(0, delta, 0)]
 
     def add_table(self, delta):
         tab = self._add_tables.get(delta)
@@ -171,7 +171,7 @@ class _CharContext:
                     vcode = int(t.encode_digit_matrix(mat[:, col].reshape(1, -1))[0])
                     if vcode == 0:
                         continue
-                    tr = self.trace_abs[t.mul_codes_vec(np.arange(t.Q), vcode)]
+                    tr = self.trace_abs[t.quad_values(0, vcode, 0)]
                     ok &= tr == 0
                 newly = ok & (orders < 0)
                 orders[newly] = di

@@ -21,11 +21,10 @@ class UnfactoredCofactor(FfpnError):
         super().__init__(message or f"unfactored composite cofactor {cofactor}")
 
 
-class FactorMismatch(FfpnError, ArithmeticError, AssertionError):
+class FactorMismatch(FfpnError, ArithmeticError):
     """Factors whose product is not the integer they are said to factor.
 
-    Raised, not asserted, so python -O keeps the check; it is still an
-    AssertionError for callers that caught the assert it replaced.
+    Raised, not asserted, so python -O keeps the check.
     """
 
 

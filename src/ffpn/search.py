@@ -18,6 +18,7 @@ independent of worker count, and sweeps checkpoint to JSON for resume.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
@@ -34,6 +35,8 @@ from .numtheory import prime_power_split
 
 PAIR_TABLE_LIMIT = 4096  # Q x Q code tables above this would be wasteful; not swept
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
+SWEEP_BATCH = 2  # blocks swept as one batch of rows: shares each round's fixed cost
+SWEEP_RUNS_PER_WORKER = 4  # contiguous block runs handed to each pool worker
 # plain-scan probes; the largest fields under PAIR_TABLE_LIMIT, (3,7) and (2187,1), need 2.09e10
 RESOLVE_BUDGET = 10**11
 SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in-process: a pool costs more than them
@@ -229,11 +232,11 @@ def verify_sieve_inequality(tower, f, d, g) -> dict:
 
     d: divisor of q^m - 1 (core primes); g: core divisor spec of x^m - 1.
     The remaining primes/factors are the complements.  Returns lhs, rhs,
-    the term breakdown, and whether lhs >= rhs.  Unlike exact_count it does
-    not check that f is admissible (a != 0, b^2 != ac).
+    the term breakdown, and whether lhs >= rhs.  f must be admissible
+    (a != 0, b^2 != ac), as for exact_count.
     """
     ctx = search_context(tower)
-    fvals = tower.quad_values(*tower.quad_codes(f))
+    fvals = tower.quad_values(*tower.quad_codes(_quadratic(tower, f)))
     dm = ctx.prime_mask_of(d) if d > 1 else 0
     gm = ctx.g_mask_of(g)
     rem_primes = [i for i, p in enumerate(ctx.primes) if d % p != 0]
@@ -307,7 +310,28 @@ def _sweep_context(p, r, m):
 
 
 def _sweep_block(args):
-    """Worker: sweep b'-positions [ib0, ib1); returns bads, probes, checked, samples.
+    """Sweep one b'-block [ib0, ib1) in-process; returns its _sweep_run tuple."""
+    return _sweep_run(args)[0]
+
+
+def _sweep_run(args):
+    """Worker: sweep b'-positions [ib0, ib1), SWEEP_BATCH blocks per row batch.
+
+    ib0 is a block boundary.  Returns one (count, bads, probes, checked,
+    samples) tuple per SWEEP_BLOCK block, in order; a block's tuple does not
+    depend on which blocks share its batch.
+    """
+    p, r, m, ib0, ib1, want_samples = args
+    ctx = _sweep_context(p, r, m)
+    span = SWEEP_BLOCK * SWEEP_BATCH
+    out = []
+    for ib in range(ib0, ib1, span):
+        out += _sweep_kernel(ctx, ib, min(ib + span, ib1), want_samples)
+    return out
+
+
+def _sweep_kernel(ctx, ib0, ib1, want_samples):
+    """Sweep b'-positions [ib0, ib1) as one batch of rows, one per monic g.
 
     Each admissible monic g = x^2 + b'x + c' (c' != b'^2) carries a cover:
     the residues x mod rad(N) for which some alpha probed so far makes
@@ -315,18 +339,17 @@ def _sweep_block(args):
     the cover row of g(alpha_i); the residues left uncovered after the last
     round expand to the bad triples (a, a b', a c').  Each round counts the
     (f, alpha) probes of the plain scan: N / rad for every uncovered residue
-    of every g.
+    of every g.  A row keeps the index of its b' in the batch, which names
+    its SWEEP_BLOCK block; probes, checked, bads and samples are per block.
 
     Rows whose cover is full stay in place until they are half or more of
     the rows, then are dropped all at once.  That changes nothing: a full
     row counts no probe, gains no fresh residue, stays full and expands to
-    no bad triple, and dropping keeps the order of the rest.  While fewer
-    than want_samples witnesses are kept, round i adds one: from the first
-    row whose cover grew, the lowest residue x it newly covered, as
-    (a, a b', a c', alpha_i, a g(alpha_i)) with a = exp[x].
+    no bad triple, and dropping keeps the order of the rest.  While a block
+    keeps fewer than want_samples witnesses, round i adds one to it: from
+    the block's first row whose cover grew, the lowest residue x it newly
+    covered, as (a, a b', a c', alpha_i, a g(alpha_i)) with a = exp[x].
     """
-    p, r, m, ib0, ib1, want_samples = args
-    ctx = _sweep_context(p, r, m)
     tower = ctx.tower
     add, mul = ctx.pair_tables()
     add_flat = add.ravel()
@@ -338,51 +361,75 @@ def _sweep_block(args):
     per_residue = N // rad
     pn = ctx.pn_codes
     sq = tower.square_codes()
-    pn_sq = sq[pn]
-    B = np.repeat(order[ib0:ib1], Q)
-    C = np.tile(order, ib1 - ib0)
-    adm = C != sq[B]
-    bb = B[adm]
-    cc = C[adm]
-    checked = len(bb) * N
-    cover = np.zeros((len(bb), words), dtype=code_rows.dtype)
-    uncovered = np.full(len(bb), rad)
-    samples = []
-    probes = 0
+    bvals = order[ib0:ib1]
+    nb = -(-len(bvals) // SWEEP_BLOCK)
+    # uq[i, k] = Q * (alpha_i^2 + alpha_i b'_k): g's code is then add_flat[uq + c']
+    uq = add[sq[pn][:, None], mul[pn[:, None], bvals]].astype(np.int64) * Q
+    bi = np.repeat(np.arange(len(bvals)), Q)
+    cc = np.tile(order, len(bvals))
+    adm = cc != sq[bvals[bi]]
+    bi, cc = bi[adm], cc[adm]
+    checked = np.bincount(bi // SWEEP_BLOCK, minlength=nb) * N
+    # each round writes the new cover into spare, then the two swap
+    cover = np.zeros((len(bi), words), dtype=code_rows.dtype)
+    spare = np.empty_like(cover)
+    # counts of uncovered residues; rad <= N < PAIR_TABLE_LIMIT fits int16
+    uncovered = np.full(len(bi), rad, dtype=np.int16)
+    seen = np.zeros(len(bi), dtype=np.int64)  # per row: uncovered residues summed over rounds
+    probes = np.zeros(nb, dtype=np.int64)
+    samples = [[] for _ in range(nb)]
     for i in range(len(pn)):
-        if not len(bb):
+        if not len(bi):
             break
-        probes += per_residue * int(uncovered.sum())
-        # Q * (alpha^2 + alpha b') for every b', then + c' in one flat gather
-        uq = add[pn_sq[i]][mul[pn[i]]].astype(np.int64) * Q
-        gv = add_flat[uq[bb] + cc]
-        new = cover | np.take(code_rows, gv, axis=0)
-        covered = np.bitwise_count(new[:, 0]).astype(np.int64)
+        seen += uncovered
+        gv = add_flat[uq[i][bi] + cc]
+        new = code_rows.take(gv, axis=0, out=spare, mode="clip")  # clip: unbuffered
+        new |= cover
+        covered = np.bitwise_count(new[:, 0]).astype(np.int16)
         for w in range(1, words):
             covered += np.bitwise_count(new[:, w])
         unc = rad - covered
-        if want_samples and len(samples) < want_samples:
-            j = int(np.argmax(unc < uncovered))
-            if unc[j] < uncovered[j]:
-                # the first residue x newly witnessed; a = exp[x] has dlog x
-                fresh = new[j] & ~cover[j]
-                x = int(np.argmax(np.unpackbits(fresh.view(np.uint8), bitorder="little")))
-                a = int(tower.exp[x])
-                f = (a, int(mul[a][bb[j]]), int(mul[a][cc[j]]))
-                samples.append((*f, int(pn[i]), int(mul[a][gv[j]])))
-        cover, uncovered = new, unc
+        if want_samples:
+            bounds = np.searchsorted(bi, SWEEP_BLOCK * np.arange(nb + 1))
+            for k in range(nb):
+                s, e = bounds[k], bounds[k + 1]
+                grew = unc[s:e] < uncovered[s:e]
+                if len(samples[k]) < want_samples and grew.any():
+                    # the first residue x newly witnessed; a = exp[x] has dlog x
+                    j = s + int(np.argmax(grew))
+                    fresh = new[j] & ~cover[j]
+                    x = int(np.argmax(np.unpackbits(fresh.view(np.uint8), bitorder="little")))
+                    a = int(tower.exp[x])
+                    f = (a, int(mul[a][bvals[bi[j]]]), int(mul[a][cc[j]]))
+                    samples[k].append((*f, int(pn[i]), int(mul[a][gv[j]])))
+        cover, spare, uncovered = new, cover, unc
         if 2 * np.count_nonzero(uncovered) <= len(uncovered):
-            live = np.flatnonzero(uncovered)
-            bb, cc, uncovered = bb[live], cc[live], uncovered[live]
-            cover = np.take(cover, live, axis=0)
-    bads = []
-    if len(bb):
+            full = uncovered == 0
+            np.add.at(probes, bi[full] // SWEEP_BLOCK, seen[full])
+            live = np.flatnonzero(~full)
+            bi, cc, uncovered, seen = bi[live], cc[live], uncovered[live], seen[live]
+            n = len(live)
+            cover, spare = cover.take(live, axis=0, out=spare[:n], mode="clip"), cover[:n]
+    np.add.at(probes, bi // SWEEP_BLOCK, seen)
+    bads = [[] for _ in range(nb)]
+    if len(bi):
         clear = np.unpackbits(cover.view(np.uint8), axis=1, bitorder="little")[:, :rad] == 0
         gi, x = np.nonzero(clear)
         a = tower.exp[(x[:, None] + rad * np.arange(per_residue)).ravel()]
         gi = np.repeat(gi, per_residue)
-        bads = list(zip(a.tolist(), mul[a, bb[gi]].tolist(), mul[a, cc[gi]].tolist()))
-    return ib1 - ib0, bads, probes, checked, samples
+        rows = zip(
+            (bi[gi] // SWEEP_BLOCK).tolist(),
+            a.tolist(),
+            mul[a, bvals[bi[gi]]].tolist(),
+            mul[a, cc[gi]].tolist(),
+        )
+        for k, *t in rows:
+            bads[k].append(tuple(t))
+    return [
+        (min(SWEEP_BLOCK, len(bvals) - SWEEP_BLOCK * k), bads[k],
+         per_residue * int(probes[k]), int(checked[k]), samples[k])
+        for k in range(nb)
+    ]
 
 
 def _write_checkpoint(path, q, m, sweep_position, bad, probes):
@@ -435,8 +482,15 @@ def resolve_pair(
     (2187,1) count 20,921,201,317 and 20,922,951,606 probes, so the default
     lets every field under PAIR_TABLE_LIMIT finish; exhaustion is a status,
     not an error.  Fields above PAIR_TABLE_LIMIT raise SizeBudgetExceeded
-    before any sweeping, and fields with fewer than SWEEP_POOL_MIN_G monic g
-    sweep in-process.
+    before any sweeping.
+
+    Only the leading blocks' witness samples reach the report, so those
+    blocks sweep in-process, one at a time, until witness_samples are kept;
+    the rest sweep without samples, SWEEP_BATCH blocks per row batch, in
+    contiguous runs: SWEEP_RUNS_PER_WORKER runs per pool worker, or one batch
+    per run in-process.  Fields with fewer than SWEEP_POOL_MIN_G monic g
+    always sweep in-process.  Results are folded in block by block, in
+    order, so the report does not depend on threads.
     """
     p, r = prime_power_split(q)
     # tables are built before forking so workers inherit them
@@ -457,47 +511,56 @@ def resolve_pair(
             # each b' position holds Q - 1 admissible monic g, each g N triples
             checked = start_ib * (Q - 1) * tower.N
 
-    blocks = [
-        (p, r, m, ib, min(ib + SWEEP_BLOCK, Q), witness_samples)
-        for ib in range(start_ib, Q, SWEEP_BLOCK)
-    ]
     samples = []
     sweep_position = start_ib
+    blocks_done = 0
     exhausted = False
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if Q * Q < SWEEP_POOL_MIN_G:
-        threads = 1
-    threads = max(1, min(threads, len(blocks) or 1))
 
-    def consume(result, block_idx):
-        nonlocal probes, checked, sweep_position, exhausted
-        _cnt, b_bads, b_probes, b_checked, b_samples = result
+    def consume(result):
+        """Fold in one block's tuple; False once the budget cuts the sweep."""
+        nonlocal probes, checked, sweep_position, blocks_done, exhausted
+        count, b_bads, b_probes, b_checked, b_samples = result
         bad.extend(b_bads)
         probes += b_probes
         checked += b_checked
-        for s in b_samples:
-            if len(samples) < witness_samples:
-                samples.append(s)
-        sweep_position = blocks[block_idx][4]
-        if checkpoint_path and (block_idx + 1) % checkpoint_every == 0:
+        samples.extend(b_samples[: witness_samples - len(samples)])
+        sweep_position += count
+        blocks_done += 1
+        if checkpoint_path and blocks_done % checkpoint_every == 0:
             _write_checkpoint(checkpoint_path, q, m, sweep_position, bad, probes)
         if probes >= budget and sweep_position < Q:
             exhausted = True
             return False
         return True
 
-    if blocks:
-        if threads == 1:
-            for bi, blk in enumerate(blocks):
-                if not consume(_sweep_block(blk), bi):
-                    break
+    # only the leading blocks' samples reach the report: sweep them here, one
+    # at a time, and every later block without samples
+    while not exhausted and sweep_position < Q and len(samples) < witness_samples:
+        end = min(sweep_position + SWEEP_BLOCK, Q)
+        consume(_sweep_block((p, r, m, sweep_position, end, witness_samples - len(samples))))
+    stop = sweep_position if exhausted else Q
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if Q * Q < SWEEP_POOL_MIN_G:
+        threads = 1
+    # contiguous runs of whole batches: a few runs per worker, one batch in-process
+    batch_len = SWEEP_BLOCK * SWEEP_BATCH
+    batches = -(-(stop - sweep_position) // batch_len)
+    per_run = max(1, -(-batches // (threads * SWEEP_RUNS_PER_WORKER))) if threads > 1 else 1
+    runs = [
+        (p, r, m, ib, min(ib + batch_len * per_run, Q), 0)
+        for ib in range(sweep_position, stop, batch_len * per_run)
+    ]
+    threads = min(threads, len(runs))
+    with contextlib.ExitStack() as stack:
+        if threads > 1:
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(threads))
+            results = pool.imap(_sweep_run, runs)
         else:
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(threads) as pool:
-                for bi, result in enumerate(pool.imap(_sweep_block, blocks)):
-                    if not consume(result, bi):
-                        break
+            results = map(_sweep_run, runs)
+        for run in results:
+            if not all(map(consume, run)):
+                break
 
     bad.sort(key=lambda t: _sweep_sort_key(tower, t))
     if exhausted:

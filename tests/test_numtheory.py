@@ -184,7 +184,7 @@ def test_small_primes_equal_plain_sieve_as_python_ints():
 
 
 def test_int_factorization_validates():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError):
         IntFactorization(n=6, factors=((2, 1),))
 
 

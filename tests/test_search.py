@@ -139,10 +139,10 @@ def test_theorem_bound_sample():
 def test_sieve_inequality_spec_cases():
     t81 = build_extension(3, 1, 4)
     rng = random.Random(5)
-    # n = 0 cases and a genuine remainder case
-    res = verify_sieve_inequality(t81, (1, 1, 1), 10, "all")
+    # n = 0 cases and a genuine remainder case, on x^2 + 1
+    res = verify_sieve_inequality(t81, (1, 0, 1), 10, "all")
     assert res["n"] == 0 and res["holds"]  # d = 10 carries both primes of 80
-    res = verify_sieve_inequality(t81, (1, 1, 1), 2, "all")
+    res = verify_sieve_inequality(t81, (1, 0, 1), 2, "all")
     assert res["n"] == 1 and res["holds"]  # 5 remains
     for _ in range(10):
         a = rng.randrange(1, 81)
@@ -200,6 +200,45 @@ def test_resolve_pair_pool_matches_in_process(monkeypatch):
     r1 = resolve_pair(3, 3, threads=1)
     r2 = resolve_pair(3, 3, threads=2)
     assert r1.to_dict() | {"elapsed": 0} == r2.to_dict() | {"elapsed": 0}
+
+
+@pytest.mark.parametrize("p,r,m", [(3, 1, 4), (3, 2, 2), (3, 1, 5)])
+def test_batched_run_equals_single_block_sweeps(p, r, m):
+    # a run's per-block tuples (bads, probes, checked, samples) do not depend
+    # on which blocks share a row batch; Q = 81 and 243 end in a ragged block
+    import ffpn.search as search_mod
+
+    Q = p ** (r * m)
+    step = search_mod.SWEEP_BLOCK
+    single = [
+        search_mod._sweep_block((p, r, m, ib, min(ib + step, Q), 10)) for ib in range(0, Q, step)
+    ]
+    assert search_mod._sweep_run((p, r, m, 0, Q, 10)) == single
+    # a run that starts mid-sweep, on a block boundary
+    assert search_mod._sweep_run((p, r, m, 3 * step, Q, 10)) == single[3:]
+
+
+def test_pool_budget_cut_matches_in_process(monkeypatch):
+    # the cut lands on the first block whose probes reach the budget, even
+    # inside a pool run of several batches (one run per worker here)
+    import ffpn.search as search_mod
+
+    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
+    monkeypatch.setattr(search_mod, "SWEEP_RUNS_PER_WORKER", 1)
+    budget = 400_000
+    cut = [resolve_pair(3, 4, budget=budget, threads=t) for t in (1, 2)]
+    one, pool = ({k: d[k] for k in ("status", "sweep_position", "probes_done", "bad_quadratics")}
+                 for d in (rep.to_dict() for rep in cut))
+    assert pool == one
+    step = search_mod.SWEEP_BLOCK
+    probes = position = 0
+    while probes < budget:
+        probes += search_mod._sweep_block((3, 1, 4, position, position + step, 0))[2]
+        position += step
+    assert (one["status"], one["sweep_position"], one["probes_done"]) == (
+        "budget_exhausted", position, probes
+    )
+    assert 0 < position < 81
 
 
 def test_resolve_pair_deterministic_and_idempotent():
@@ -458,3 +497,5 @@ def test_exact_count_refuses_what_find_witness_refuses(f):
         find_witness(t, f)
     with pytest.raises(ValueError):
         exact_count(t, f, 1, t.N, 1)
+    with pytest.raises(ValueError):
+        verify_sieve_inequality(t, f, 10, "all")
