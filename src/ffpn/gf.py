@@ -240,7 +240,6 @@ class FieldTower:
         self._nfactors = None
         self._zech = None
         self._digits_all = None
-        self._square_codes = None
         self._bsgs = None
         self._contexts = {}
         if build_tables:
@@ -531,16 +530,6 @@ class FieldTower:
         acc = self._digit_rows(u).astype(np.min_scalar_type(2 * (self.p - 1)))
         acc += self._digit_rows(v)
         return self.encode_digit_matrix(acc)
-
-    def square_codes(self):
-        """sq[code] = code^2 for every code (cached). Needs tables."""
-        if not self.has_tables:
-            raise SizeBudgetExceeded("the squaring table needs log tables")
-        if self._square_codes is None:
-            sq = np.zeros(self.Q, dtype=np.int64)
-            sq[self.exp] = self.exp[(2 * np.arange(self.N)) % self.N]
-            self._square_codes = sq
-        return self._square_codes
 
     def quad_codes(self, f):
         """Codes (a, b, c) of a quadratic.

@@ -11,7 +11,10 @@ depends on dlog(a) only modulo rad(N), the product of N's primes.  So the
 kernel sweeps the Q^2 - Q admissible monic g, probing the primitive-normal
 set in discrete-log order and keeping per g a bitset of the residues mod
 rad(N) witnessed so far; residues never witnessed expand to the bad
-triples (a, a b', a c').  Probes are counted as the plain per-triple scan
+triples (a, a b', a c').  It works in discrete logs: the Zech table gives
+dlog(g(alpha)) with one gather per g and probe, and the residues a value
+witnesses depend only on its dlog mod rad, so its tables are O(N) long and
+it holds no Q x Q table.  Probes are counted as the plain per-triple scan
 counts them, budget cuts land on deterministic b'-block boundaries
 independent of worker count, and sweeps checkpoint to JSON for resume.
 """
@@ -33,11 +36,11 @@ from . import fqpoly, gf
 from .errors import SizeBudgetExceeded
 from .numtheory import prime_power_split
 
-PAIR_TABLE_LIMIT = 4096  # Q x Q code tables above this would be wasteful; not swept
+SWEEP_FIELD_LIMIT = 4096  # largest field resolve_pair sweeps; larger ones are refused
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
 SWEEP_BATCH = 2  # blocks swept as one batch of rows: shares each round's fixed cost
 SWEEP_RUNS_PER_WORKER = 4  # contiguous block runs handed to each pool worker
-# plain-scan probes; the largest fields under PAIR_TABLE_LIMIT, (3,7) and (2187,1), need 2.09e10
+# plain-scan probes; the largest fields under SWEEP_FIELD_LIMIT, (3,7) and (2187,1), need 2.09e10
 RESOLVE_BUDGET = 10**11
 SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in-process: a pool costs more than them
 # checkpoints from another kernel count sweep positions in other units
@@ -99,9 +102,8 @@ class SearchContext:
         self.normal_mask = (gb & self.all_g_mask) == self.all_g_mask
         # exp lists the nonzero codes in discrete-log order already
         self.pn_codes = tower.exp[(self.prim_mask & self.normal_mask)[tower.exp]]
-        self._add_table = None
-        self._mul_table = None
-        self._residue_rows = None
+        self.rad = math.prod(self.primes)
+        self._pair_tables = None
 
     def prime_mask_of(self, e):
         if e < 1 or self.tower.N % e != 0:
@@ -112,57 +114,35 @@ class SearchContext:
         return sum(1 << j for j in self.tp.pf.factor_subset_of(g))
 
     def pair_tables(self):
-        """(ADD, MUL) full code tables for the sweep kernel.
+        """(zx, rows): the sweep kernel's log-indexed tables, O(N) entries each.
 
-        ADD grows one digit at a time: codes are base-p digit vectors, so
-        with u = d p^k + u', v = e p^k + v' (u', v' < p^k) the sum's code is
-        ((d + e) mod p) p^k + ADD_k[u', v'].  MUL is exp of the summed logs,
-        built a 64th of the rows at a time, so its intp index temporary
-        (Q/64 x Q) stays a 32nd of the int32 table; row and column 0 stay 0.
+        rows[L] is the cover bitset of a value with dlog L, 0 <= L < 2N: bit
+        x is set iff x + L is coprime to rad(N), so it depends on L mod rad
+        only; rows[2N] is empty (g(alpha) = 0 witnesses nothing).  A row is
+        ceil(rad / 64) words.
+
+        zx lays out the Zech table so that g(alpha) = u + c' has the row
+        index L = zx[lcN - lu] + lu with no branch.  lu = log u, or -3N for
+        u = 0; lcN = log c' + N, or 3N for c' = 0.  So zx[j] is:
+          - zech[j mod N] for j <= 2N, and 2N where zech is -1 (u + c' = 0),
+            so that L >= 2N, which the kernel clips to the empty row;
+          - 0 for 2N < j < 4N, so that c' = 0 gives L = lu;
+          - j - N from 4N on, so that u = 0 gives L = lc (or 2N for c' = 0).
         """
-        t = self.tower
-        if t.Q > PAIR_TABLE_LIMIT:
-            raise SizeBudgetExceeded(
-                f"pair-sweep tables capped at {PAIR_TABLE_LIMIT} elements"
-            )
-        if self._add_table is None:
-            Q, p = t.Q, t.p
-            d = np.arange(p, dtype=np.int32)
-            digit_sum = (d[:, None] + d) % p
-            add = np.zeros((1, 1), dtype=np.int32)
-            for pw in t._pw[: t.n]:
-                k = len(add)
-                add = (pw * digit_sum)[:, None, :, None] + add[None, :, None, :]
-                add = add.reshape(p * k, p * k)
-            log = t.log.astype(np.intp)
-            exp2 = np.concatenate((t.exp, t.exp)).astype(np.int32)
-            mul = np.zeros((Q, Q), dtype=np.int32)
-            step = -(-Q // 64)
-            for u0 in range(1, Q, step):
-                u1 = min(u0 + step, Q)
-                mul[u0:u1, 1:] = exp2[log[u0:u1, None] + log[None, 1:]]
-            self._add_table = add
-            self._mul_table = mul
-        return self._add_table, self._mul_table
-
-    def residue_rows(self):
-        """(rad, code_rows): the sweep's cover bitsets over Z/rad, rad = rad(N).
-
-        code_rows[code] has bit x set iff x + dlog(code) is coprime to rad, a
-        window of one coprimality vector; code_rows[0] is empty (g(alpha) =
-        0 witnesses nothing).  One row of ceil(rad / 64) words per code.
-        """
-        if self._residue_rows is None:
-            rad = math.prod(self.primes)
+        if self._pair_tables is None:
+            N, rad = self.tower.N, self.rad
+            zx = np.zeros(6 * N + 1, dtype=np.int64)
+            zx[: 2 * N + 1] = self.tower.zech_table()[np.arange(2 * N + 1) % N]
+            zx[zx < 0] = 2 * N
+            zx[4 * N :] = np.arange(3 * N, 5 * N + 1)
             coprime = np.gcd(np.arange(2 * rad), rad) == 1
             rows = np.zeros((rad + 1, 8 * -(-rad // 64)), dtype=np.uint8)
             rows[:rad, : -(-rad // 8)] = np.packbits(
                 sliding_window_view(coprime, rad)[:rad], axis=1, bitorder="little"
             )
-            lres = self.tower.log % rad
-            lres[0] = rad
-            self._residue_rows = (rad, rows.view("<u8")[lres])
-        return self._residue_rows
+            residue = np.append(np.arange(2 * N) % rad, rad)
+            self._pair_tables = (zx, rows.view("<u8")[residue])
+        return self._pair_tables
 
 
 def search_context(tower) -> SearchContext:
@@ -303,9 +283,10 @@ class PairReport:
 
 
 def _sweep_context(p, r, m):
+    if p ** (r * m) > SWEEP_FIELD_LIMIT:
+        raise SizeBudgetExceeded(f"pair sweeps capped at {SWEEP_FIELD_LIMIT} elements")
     ctx = search_context(gf.build_extension(p, r, m))
-    ctx.pair_tables()  # first: it refuses fields above PAIR_TABLE_LIMIT
-    ctx.residue_rows()  # Q x rad(N) bits
+    ctx.pair_tables()
     return ctx
 
 
@@ -330,6 +311,19 @@ def _sweep_run(args):
     return out
 
 
+def _u_logs(tower, ka, bvals):
+    """lu[i, k] = log(alpha^2 + alpha b') for alpha = g^ka[i], b' held as bvals[k].
+
+    b' is held as its log + N, or 3N for 0.  lu is 2 ka for b' = 0, else
+    2 ka + zech[log b' - ka] mod N, and -3N where that zech is -1 (u = 0).
+    """
+    N, ka = tower.N, ka[:, None]
+    z = tower.zech_table()[(bvals - N - ka) % N]
+    lu = np.where(z < 0, -3 * N, (2 * ka + z) % N)
+    lu[:, bvals == 3 * N] = 2 * ka % N
+    return lu
+
+
 def _sweep_kernel(ctx, ib0, ib1, want_samples):
     """Sweep b'-positions [ib0, ib1) as one batch of rows, one per monic g.
 
@@ -342,6 +336,11 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
     of every g.  A row keeps the index of its b' in the batch, which names
     its SWEEP_BLOCK block; probes, checked, bads and samples are per block.
 
+    Everything is in logs.  A row holds lcN = log c' + N (3N for c' = 0);
+    round i takes lu = log(alpha_i^2 + alpha_i b') for the row's b' (-3N for
+    0) and reads the cover row L = zx[lcN - lu] + lu, which pair_tables lays
+    out so that the zero cases need no branch.
+
     Rows whose cover is full stay in place until they are half or more of
     the rows, then are dropped all at once.  That changes nothing: a full
     row counts no probe, gains no fresh residue, stays full and expands to
@@ -351,39 +350,40 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
     covered, as (a, a b', a c', alpha_i, a g(alpha_i)) with a = exp[x].
     """
     tower = ctx.tower
-    add, mul = ctx.pair_tables()
-    add_flat = add.ravel()
-    rad, code_rows = ctx.residue_rows()
-    words = code_rows.shape[1]
-    # b' and c' sweep order: zero first, then ascending discrete log
-    order = np.concatenate(([0], tower.exp)).astype(np.int64)
-    Q, N = tower.Q, tower.N
+    zx, rows = ctx.pair_tables()
+    rad, words = ctx.rad, rows.shape[1]
+    N, exp = tower.N, tower.exp
     per_residue = N // rad
-    pn = ctx.pn_codes
-    sq = tower.square_codes()
+    # b' and c' sweep order: zero first, then ascending discrete log.  A value
+    # is held as lv = its log + N, or 3N for 0, so exp4[x + lv] = g^x times it
+    order = np.arange(N - 1, 2 * N)
+    order[0] = 3 * N
+    exp4 = np.concatenate((exp, exp, exp, np.zeros(N, dtype=exp.dtype)))
     bvals = order[ib0:ib1]
     nb = -(-len(bvals) // SWEEP_BLOCK)
-    # uq[i, k] = Q * (alpha_i^2 + alpha_i b'_k): g's code is then add_flat[uq + c']
-    uq = add[sq[pn][:, None], mul[pn[:, None], bvals]].astype(np.int64) * Q
-    bi = np.repeat(np.arange(len(bvals)), Q)
+    lu = _u_logs(tower, tower.log[ctx.pn_codes], bvals)
+    bi = np.repeat(np.arange(len(bvals)), N + 1)
     cc = np.tile(order, len(bvals))
-    adm = cc != sq[bvals[bi]]
+    # admissible: c' != b'^2, whose lv is 2 log b' mod N + N, or 3N for b' = 0
+    adm = cc != np.where(bvals == 3 * N, 3 * N, 2 * (bvals - N) % N + N)[bi]
     bi, cc = bi[adm], cc[adm]
     checked = np.bincount(bi // SWEEP_BLOCK, minlength=nb) * N
     # each round writes the new cover into spare, then the two swap
-    cover = np.zeros((len(bi), words), dtype=code_rows.dtype)
+    cover = np.zeros((len(bi), words), dtype=rows.dtype)
     spare = np.empty_like(cover)
-    # counts of uncovered residues; rad <= N < PAIR_TABLE_LIMIT fits int16
+    # counts of uncovered residues; rad <= N < SWEEP_FIELD_LIMIT fits int16
     uncovered = np.full(len(bi), rad, dtype=np.int16)
     seen = np.zeros(len(bi), dtype=np.int64)  # per row: uncovered residues summed over rounds
     probes = np.zeros(nb, dtype=np.int64)
     samples = [[] for _ in range(nb)]
-    for i in range(len(pn)):
+    for i, alpha in enumerate(ctx.pn_codes.tolist()):
         if not len(bi):
             break
         seen += uncovered
-        gv = add_flat[uq[i][bi] + cc]
-        new = code_rows.take(gv, axis=0, out=spare, mode="clip")  # clip: unbuffered
+        lui = lu[i][bi]
+        L = zx[cc - lui]
+        L += lui
+        new = rows.take(L, axis=0, out=spare, mode="clip")  # clip: unbuffered, L >= 2N empty
         new |= cover
         covered = np.bitwise_count(new[:, 0]).astype(np.int16)
         for w in range(1, words):
@@ -399,9 +399,8 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
                     j = s + int(np.argmax(grew))
                     fresh = new[j] & ~cover[j]
                     x = int(np.argmax(np.unpackbits(fresh.view(np.uint8), bitorder="little")))
-                    a = int(tower.exp[x])
-                    f = (a, int(mul[a][bvals[bi[j]]]), int(mul[a][cc[j]]))
-                    samples[k].append((*f, int(pn[i]), int(mul[a][gv[j]])))
+                    f = (exp[x], exp4[x + bvals[bi[j]]], exp4[x + cc[j]])
+                    samples[k].append((*map(int, f), alpha, int(exp[(x + L[j]) % N])))
         cover, spare, uncovered = new, cover, unc
         if 2 * np.count_nonzero(uncovered) <= len(uncovered):
             full = uncovered == 0
@@ -415,15 +414,16 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
     if len(bi):
         clear = np.unpackbits(cover.view(np.uint8), axis=1, bitorder="little")[:, :rad] == 0
         gi, x = np.nonzero(clear)
-        a = tower.exp[(x[:, None] + rad * np.arange(per_residue)).ravel()]
+        # a = g^la for every la = x (mod rad)
+        la = (x[:, None] + rad * np.arange(per_residue)).ravel()
         gi = np.repeat(gi, per_residue)
-        rows = zip(
+        bad = zip(
             (bi[gi] // SWEEP_BLOCK).tolist(),
-            a.tolist(),
-            mul[a, bvals[bi[gi]]].tolist(),
-            mul[a, cc[gi]].tolist(),
+            exp[la].tolist(),
+            exp4[la + bvals[bi[gi]]].tolist(),
+            exp4[la + cc[gi]].tolist(),
         )
-        for k, *t in rows:
+        for k, *t in bad:
             bads[k].append(tuple(t))
     return [
         (min(SWEEP_BLOCK, len(bvals) - SWEEP_BLOCK * k), bads[k],
@@ -475,13 +475,14 @@ def resolve_pair(
     b^2 != ac, as if probing the primitive-normal set in dlog order until f
     has a witness; f with no witness is recorded as bad.  The sweep runs
     over monic g = f / a in blocks of b' (see the module docstring for why
-    that loses nothing).  The budget counts probes of the plain per-triple
+    that loses nothing), evaluating g(alpha) in logs through the Zech
+    table.  The budget counts probes of the plain per-triple
     scan, not kernel work: one probe is one (f, alpha) primitivity test,
     each f taking the primitive-normal alpha in dlog order up to its first
     witness, or all of them if it has none.  The whole sweeps of (3,7) and
     (2187,1) count 20,921,201,317 and 20,922,951,606 probes, so the default
-    lets every field under PAIR_TABLE_LIMIT finish; exhaustion is a status,
-    not an error.  Fields above PAIR_TABLE_LIMIT raise SizeBudgetExceeded
+    lets every field under SWEEP_FIELD_LIMIT finish; exhaustion is a status,
+    not an error.  Fields above SWEEP_FIELD_LIMIT raise SizeBudgetExceeded
     before any sweeping.
 
     Only the leading blocks' witness samples reach the report, so those

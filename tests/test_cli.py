@@ -192,10 +192,10 @@ def test_budget_error_exit_3(capsys):
 
 
 def test_resolve_pair_oversized_exit_3(capsys):
-    # Q = 3^8 = 6561 is above the pair-sweep table cap
+    # Q = 3^8 = 6561 is above the pair-sweep cap
     code = main(["--json", "--threads", "1", "resolve-pair", "--q", "3", "--m", "8"])
     assert code == 3
-    # F_{27^3}: rad(N) = 19682, so residue rows built before the refusal would take GBs
+    # F_{27^3}: rad(N) = 19682, so cover rows built before the refusal would take 97 MB
     code = main(["--json", "--threads", "1", "resolve-pair", "--q", "27", "--m", "3"])
     assert code == 3
 
@@ -204,7 +204,7 @@ def test_resolve_pair_default_budget_finishes_3_7():
     cli_default = build_parser().parse_args(["resolve-pair", "--q", "3", "--m", "7"]).budget
     api_default = inspect.signature(resolve_pair).parameters["budget"].default
     # probes_done of the whole (2187,1) sweep; (3,7) counts 20,921,201,317.  Q = 2187
-    # is the largest field under PAIR_TABLE_LIMIT
+    # is the largest field under SWEEP_FIELD_LIMIT
     assert cli_default == api_default > 20_922_951_606
 
 

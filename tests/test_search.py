@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ffpn.search as search_mod
 from ffpn.chars import char_context, freeness_indicator
 from ffpn.errors import SizeBudgetExceeded
 from ffpn.fqpoly import FqPolynomial, factor_xm1, is_g_free, poly_stats, tower_poly
@@ -310,15 +311,13 @@ def test_quadratic_orbit_structure():
 
 
 def test_resolve_pair_refuses_oversized_field_before_sweeping(monkeypatch, tmp_path):
-    import ffpn.search as search_mod
-
     def no_sweep(*args):
-        raise AssertionError("swept a field above the table cap")
+        raise AssertionError("swept a field above the sweep cap")
 
-    monkeypatch.setattr(search_mod, "PAIR_TABLE_LIMIT", 8)
+    monkeypatch.setattr(search_mod, "SWEEP_FIELD_LIMIT", 8)
     monkeypatch.setattr(search_mod, "_sweep_block", no_sweep)
-    # the rad(N) x rad(N) residue rows must not be sized before the refusal
-    monkeypatch.setattr(search_mod.SearchContext, "residue_rows", no_sweep)
+    # the 2N x rad(N) cover rows must not be sized before the refusal
+    monkeypatch.setattr(search_mod.SearchContext, "pair_tables", no_sweep)
     ck = tmp_path / "ck.json"
     with pytest.raises(SizeBudgetExceeded):
         resolve_pair(3, 2, threads=1, checkpoint_path=str(ck))
@@ -471,22 +470,37 @@ def test_bad_g_specs_are_refused_everywhere(name):
         search_context(t).g_mask_of(g)
 
 
-@pytest.mark.parametrize("p,r,m", [(3, 1, 4), (3, 1, 6), (3, 2, 3), (5, 1, 4)])
-def test_pair_tables_equal_row_by_row_reference(p, r, m):
+@pytest.mark.parametrize("p,r,m", [(3, 1, 4), (3, 2, 2), (3, 1, 5), (5, 1, 3), (7, 1, 2)])
+def test_pair_tables_give_the_cover_row_of_every_g_alpha(p, r, m):
+    # For every alpha != 0, b' and c', the row the sweep kernel reads for
+    # g(alpha) = alpha^2 + b' alpha + c' is the cover row of dlog(g(alpha))
+    # mod rad, or the empty row for g(alpha) = 0; g(alpha) comes from a
+    # digit-built ADD table and exp/log products.
     t = build_extension(p, r, m)
-    add, mul = search_context(t).pair_tables()
-    Q, N = t.Q, t.N
+    ctx = search_context(t)
+    zx, rows = ctx.pair_tables()
+    Q, N, rad = t.Q, t.N, ctx.rad
     digits = t.digits_all().astype(np.int16)
-    pw = np.array([p**i for i in range(t.n)], dtype=np.int32)
-    ref_add = np.empty((Q, Q), dtype=np.int32)
-    for u in range(Q):
-        ref_add[u] = ((digits[u] + digits) % p).astype(np.int32) @ pw
-    ref_mul = np.zeros((Q, Q), dtype=np.int32)
-    for u in range(1, Q):
-        ref_mul[u, 1:] = t.exp[(int(t.log[u]) + t.log[1:]) % N]
-    assert add.dtype == mul.dtype == np.int32
-    assert add.tobytes() == ref_add.tobytes()
-    assert mul.tobytes() == ref_mul.tobytes()
+    pw = np.array([p**i for i in range(t.n)], dtype=np.int64)
+    add = np.array([((digits[u] + digits) % p) @ pw for u in range(Q)])
+    codes = np.arange(Q)
+    lv = np.where(codes == 0, 3 * N, t.log + N)  # how the kernel holds b' and c'
+    coprime = np.gcd(np.arange(rad)[:, None] + np.arange(rad), rad) == 1
+    ref_rows = np.zeros((rad + 1, rows.shape[1] * 8), dtype=np.uint8)
+    ref_rows[:rad, : -(-rad // 8)] = np.packbits(coprime, axis=1, bitorder="little")
+    ref_rows = ref_rows.view(rows.dtype)
+    seen = dict.fromkeys(("b' = 0", "c' = 0", "u = 0", "g(alpha) = 0"), 0)
+    for k in range(N):
+        times_alpha = np.where(codes == 0, 0, t.exp[(k + t.log) % N])
+        u = add[t.exp[2 * k % N], times_alpha]  # alpha^2 + alpha b', by b'
+        g = add[u[:, None], codes]  # by b', c'
+        want = ref_rows[np.where(g == 0, rad, t.log[g] % rad)]
+        lu = search_mod._u_logs(t, np.array([k]), lv)[0][:, None]
+        got = rows.take(zx[lv - lu] + lu, axis=0, mode="clip")
+        assert np.array_equal(got, want)
+        for name, hit in zip(seen, (codes == 0, codes == 0, u == 0, g == 0)):
+            seen[name] += int(np.count_nonzero(hit))
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("f", [(0, 0, 1), (1, 1, 1), (81, 0, 1)])
