@@ -115,19 +115,16 @@ class _CharContext:
             raise SizeBudgetExceeded("character evaluation needs log tables")
         self.tower = tower
         self.tp = fqpoly.tower_poly(tower)
-        Q, N, p = tower.Q, tower.N, tower.p
-        # absolute trace of every code, via the p-power permutation
-        frob_p = np.zeros(Q, dtype=np.int64)
-        frob_p[tower.exp] = tower.exp[(np.arange(N) * p) % N]
-        acc = np.arange(Q, dtype=np.int64)
-        v = np.arange(Q, dtype=np.int64)
-        for _ in range(tower.n - 1):
-            v = frob_p[v]
-            acc = tower.add_codes_vec(acc, v)
-        if acc.max() >= p:
-            raise ArithmeticError(f"absolute trace left F_{p} in F_{Q}")
-        self.trace_abs = acc
-        self.psi0_vals = _roots_of_unity(p)[acc]
+        p = tower.p
+        # absolute trace of every code by F_p-linearity, Tr(sum d_i x^i) =
+        # sum d_i Tr(x^i) mod p: the codes below p^(i+1) are d p^i + (a code
+        # below p^i), d < p, so each basis trace extends the table p-fold
+        tr = np.zeros(1, dtype=np.int64)
+        for i in range(tower.n):
+            ti = tower.trace_abs_code(p**i)
+            tr = ((tr + ti * np.arange(p, dtype=np.int64)[:, None]) % p).ravel()
+        self.trace_abs = tr
+        self.psi0_vals = _roots_of_unity(p)[tr]
         self._mult_tables = {}
         self._add_tables = {}
         self._delta_orders = None
@@ -145,8 +142,7 @@ class _CharContext:
 
     def add_values(self, delta):
         """psi_delta over all Q codes, formed afresh and not kept."""
-        t = self.tower
-        return self.psi0_vals[t.quad_values(0, delta, 0)]
+        return self.psi0_vals[self.tower.quad_values(0, delta, 0)]
 
     def add_table(self, delta):
         tab = self._add_tables.get(delta)
@@ -165,14 +161,11 @@ class _CharContext:
             t = self.tower
             orders = np.full(t.Q, -1, dtype=np.int64)
             for di, (poly, _exps) in enumerate(self.tp.divisors()):
-                mat = t.linear_map_matrix(lambda c, g=poly: self.tp.apply_codes(g, c))
                 ok = np.ones(t.Q, dtype=bool)
-                for col in range(t.n):
-                    vcode = int(t.encode_digit_matrix(mat[:, col].reshape(1, -1))[0])
-                    if vcode == 0:
-                        continue
-                    tr = self.trace_abs[t.quad_values(0, vcode, 0)]
-                    ok &= tr == 0
+                for i in range(t.n):  # the image of h o (dot) is spanned by h o x^i
+                    vcode = self.tp.apply_codes(poly, t.p**i)
+                    if vcode:
+                        ok &= self.trace_abs[t.quad_values(0, vcode, 0)] == 0
                 newly = ok & (orders < 0)
                 orders[newly] = di
             if orders.min() < 0:
@@ -307,6 +300,7 @@ def freeness_indicator(kind, target, alpha) -> float:
         )
         div_index = {ex: i for i, (_poly, ex) in enumerate(tp.divisors())}
         nfac = len(tp.pf.factors)
+        psi_at_alpha = ctx.add_values(code)  # psi_delta(alpha) = psi_alpha(delta), by delta
         total = 0.0 + 0j
         for ssize in range(len(support) + 1):
             for subset in combinations(support, ssize):
@@ -315,8 +309,7 @@ def freeness_indicator(kind, target, alpha) -> float:
                 phi_f = fqpoly.poly_stats(
                     q, [(tp.pf.factors[i].degree, 1) for i in subset]
                 ).Phi
-                deltas = ctx.delta_class(di)
-                vals = ctx.psi0_vals[t.mul_codes_vec(deltas, code)]
+                vals = psi_at_alpha[ctx.delta_class(di)]
                 total += ((-1) ** ssize / phi_f) * _csum(vals)
         return Theta * total.real
 

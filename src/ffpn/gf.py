@@ -18,8 +18,9 @@ baby-step giant-step up to 2^40.
 
 A tabled tower also builds, on first use, the Zech table zech[k] =
 log(1 + g^k) (-1 where 1 + g^k = 0), so that g^i + g^j = g^(i + zech[j - i])
-is a lookup: FieldTower.quad_values evaluates a quadratic on every code
-entirely in logs, without digit rows.
+is a lookup.  Bulk field arithmetic has one route, FieldTower.quad_values:
+a x^2 + b x + c at every code x, summed in logs (b x and b x + c when
+a = 0).  The scalar *_code methods are the independent reference.
 """
 
 from __future__ import annotations
@@ -239,7 +240,6 @@ class FieldTower:
         self.generator_code = None
         self._nfactors = None
         self._zech = None
-        self._digits_all = None
         self._bsgs = None
         self._contexts = {}
         if build_tables:
@@ -489,48 +489,6 @@ class FieldTower:
 
     # -- bulk helpers (numpy) --------------------------------------------
 
-    def digits_all(self):
-        """(Q, n) matrix of every code's coefficient vector.
-
-        Its unsigned dtype is the smallest that holds p - 1 (uint8 up to
-        p = 257, where it widens to uint16).
-        """
-        if self._digits_all is None:
-            codes = np.arange(self.Q, dtype=np.int64)
-            cols = []
-            for i in range(self.n):
-                cols.append((codes // self._pw[i]) % self.p)
-            self._digits_all = np.stack(cols, axis=1).astype(np.min_scalar_type(self.p - 1))
-        return self._digits_all
-
-    def encode_digit_matrix(self, mat):
-        pw = np.array(self._pw[: self.n], dtype=np.int64)
-        return (np.asarray(mat) % self.p) @ pw
-
-    def _digit_rows(self, codes):
-        """digits_all()[codes] for a scalar code or an array of codes.
-
-        An array is gathered through a void view with one item per row,
-        about 4x faster than fancy-indexing (Q, n) rows at 3^11.
-        """
-        da = self.digits_all()
-        if not np.ndim(codes):
-            return da[codes]
-        rows = da.view(np.dtype((np.void, da.strides[0])))[:, 0]
-        return rows[codes].view(da.dtype).reshape(*np.shape(codes), self.n)
-
-    def add_codes_vec(self, u, v):
-        """Vectorized field addition of code arrays (or scalar + array).
-
-        The digit rows are summed in the smallest unsigned dtype that holds
-        2 (p - 1), reduced mod p and encoded.
-        """
-        if not np.ndim(u):  # an array term first
-            u, v = v, u
-        acc = self._digit_rows(u).astype(np.min_scalar_type(2 * (self.p - 1)))
-        acc += self._digit_rows(v)
-        return self.encode_digit_matrix(acc)
-
     def quad_codes(self, f):
         """Codes (a, b, c) of a quadratic.
 
@@ -592,21 +550,6 @@ class FieldTower:
         out[self.exp] = vals
         return out
 
-    def mul_codes_vec(self, u_arr, v):
-        """Vectorized multiply; v scalar code or array. Needs tables."""
-        if not self.has_tables:
-            raise SizeBudgetExceeded("vectorized multiplication needs log tables")
-        u_arr = np.asarray(u_arr, dtype=np.int64)
-        out = np.zeros_like(u_arr)
-        if np.ndim(v):
-            v = np.asarray(v, dtype=np.int64)
-            nz = (u_arr != 0) & (v != 0)
-            out[nz] = self.exp[(self.log[u_arr[nz]] + self.log[v[nz]]) % self.N]
-        elif v != 0:
-            nz = u_arr != 0
-            out[nz] = self.exp[(self.log[u_arr[nz]] + int(self.log[v])) % self.N]
-        return out
-
     def linear_map_matrix(self, func):
         """n x n matrix over F_p of a linear map given on codes."""
         cols = []
@@ -625,7 +568,7 @@ class FieldTower:
         for vec in _kernel_mod_p(mat, p):
             steps = np.arange(p, dtype=np.int64)[:, None, None] * np.array(vec)
             span = ((span + steps) % p).reshape(-1, n)
-        return np.sort(self.encode_digit_matrix(span))
+        return np.sort(span @ np.array(self._pw[:n], dtype=np.int64))
 
     def subfield_codes(self, degree=None):
         """Codes of the subfield of p^degree elements, ascending.

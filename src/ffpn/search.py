@@ -447,7 +447,16 @@ def _write_checkpoint(path, q, m, sweep_position, bad, probes):
     os.replace(tmp, path)
 
 
+def _in_range(v, hi):
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= hi
+
+
 def _read_checkpoint(path, q, m):
+    """The checkpoint at path if this kernel wrote it for (q, m), else None.
+
+    Its values must be in range: sweep_position in [0, Q], probes_done >= 0
+    and bad_quadratics a list of 3-code lists, each code in [0, Q).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -457,7 +466,12 @@ def _read_checkpoint(path, q, m):
         return None
     if data["kernel"] != SWEEP_KERNEL or data["q"] != q or data["m"] != m:
         return None
-    return data
+    Q, bad = q**m, data["bad_quadratics"]
+    ok = _in_range(data["sweep_position"], Q) and _in_range(data["probes_done"], math.inf)
+    ok = ok and isinstance(bad, list) and all(
+        isinstance(f, list) and len(f) == 3 and all(_in_range(x, Q - 1) for x in f) for f in bad
+    )
+    return data if ok else None
 
 
 def resolve_pair(
@@ -618,33 +632,21 @@ def quadratic_orbit(tower, a, b, c):
 def validate_quadratic_symmetry(tower) -> dict:
     """Check whether witness-existence is constant on +-f(+-x) orbits.
 
-    Sweeping one representative per orbit is sound only when every orbit is
-    uniformly witnessed or uniformly bad; that depends on how negation
-    interacts with primitivity (whether -1 is an even power of the
-    generator, i.e. on q^m mod 4), so it must be established per field by
-    comparison against the full sweep before being trusted.
+    Sweeping one representative per orbit is sound only when no orbit mixes
+    witnessed and bad triples.  That depends on how negation meets
+    primitivity (whether -1 is an even power of the generator, i.e. on q^m
+    mod 4), so it is checked per field against the full sweep: an orbit is
+    mixed when it holds one of resolve_pair's bad triples but not only bad
+    ones.  Fields above SWEEP_FIELD_LIMIT raise SizeBudgetExceeded.
     """
-    ctx = search_context(tower)
-    Q = tower.Q
-    mixed = []
-    seen = set()
-    for a in range(1, Q):
-        for b in range(Q):
-            b2 = tower.mul_codes(b, b)
-            for c in range(Q):
-                if b2 == tower.mul_codes(a, c):
-                    continue
-                if (a, b, c) in seen:
-                    continue
-                orbit = quadratic_orbit(tower, a, b, c)
-                seen.update(orbit)
-                verdicts = {find_witness(tower, f) is not None for f in orbit}
-                if len(verdicts) > 1:
-                    mixed.append(sorted(orbit))
+    rep = resolve_pair(tower.q, tower.m, threads=1, witness_samples=0)
+    bad = set(rep.bad_quadratics)
+    orbits = (quadratic_orbit(tower, *f) for f in bad)
+    mixed = sorted({tuple(sorted(orbit)) for orbit in orbits if not orbit <= bad})
     return {
         "q": tower.q,
         "m": tower.m,
-        "orbits_checked": len(seen),
-        "mixed_orbits": mixed,
+        "orbits_checked": rep.quadratics_checked,
+        "mixed_orbits": [list(orbit) for orbit in mixed],
         "reduction_valid": not mixed,
     }

@@ -25,7 +25,7 @@ from ffpn.chars import (
 )
 from ffpn.errors import SizeBudgetExceeded, ZeroElement
 from ffpn.fqpoly import FqPolynomial, poly_stats, tower_poly
-from ffpn.gf import build_extension, find_generator, is_e_free
+from ffpn.gf import FieldTower, build_extension, find_generator, is_e_free
 from ffpn.fqpoly import is_g_free
 from ffpn.numtheory import divisors_of
 
@@ -176,6 +176,21 @@ def test_add_char_eval_matches_table():
             assert abs(psi(t.element(code)) - tab[code]) < 1e-12
     assert AddCharacter(t, 0).is_trivial
     assert AddCharacter(t, 5).fq_order().degree >= 1
+
+
+@pytest.mark.parametrize("p,r,m", [(2, 1, 6), (3, 2, 2), (5, 1, 3), (7, 1, 2), (3, 1, 5)])
+def test_trace_table_equals_scalar_trace(p, r, m):
+    t = build_extension(p, r, m)
+    assert char_context(t).trace_abs.tolist() == [t.trace_abs_code(c) for c in range(t.Q)]
+
+
+def test_char_context_refuses_a_trace_outside_the_prime_field(monkeypatch):
+    # a tower outside the registry, its TowerPoly built before the sums break
+    t = FieldTower(3, 1, 3, build_tables=True)
+    tower_poly(t)
+    monkeypatch.setattr(t, "add_codes", lambda u, v: t.p)
+    with pytest.raises(ArithmeticError, match="absolute trace left F_3"):
+        char_context(t)
 
 
 def test_orthogonality_audit_keeps_no_additive_tables():

@@ -372,13 +372,6 @@ def test_zech_table_is_log_of_one_plus_power(p, r, m):
     assert t.zech_table().tolist() == want
 
 
-def test_quad_values_builds_no_digit_rows():
-    t = FieldTower(3, 1, 7, build_tables=True)
-    for f in [(1, 0, 0), (0, 5, 7), (2, 3, 0), (4, 9, 11)]:
-        t.quad_values(*f)
-    assert t._digits_all is None
-
-
 def test_towers_of_one_field_share_tables_not_contexts():
     from ffpn.fqpoly import tower_poly
 
@@ -408,20 +401,6 @@ def test_vectorized_products_refuse_untabled_tower():
     t = T(3, 1, 4, tables="off")
     with pytest.raises(SizeBudgetExceeded):
         t.quad_values(1, 0, 0)
-    with pytest.raises(SizeBudgetExceeded):
-        t.mul_codes_vec(np.arange(t.Q), 2)
-
-
-def test_digit_arithmetic_holds_p_above_256():
-    t = T(257, 1, 2)
-    da = t.digits_all()
-    assert int(da.max()) == 256 and (da[257 * 3 + 256] == (256, 3)).all()
-    assert t.add_codes_vec(np.array([256]), np.array([1])).tolist() == [t.add_codes(256, 1)] == [0]
-    rng = np.random.default_rng(7)
-    u = rng.integers(0, t.Q, 500)
-    v = rng.integers(0, t.Q, 500)
-    assert t.add_codes_vec(u, v).tolist() == [t.add_codes(int(x), int(y)) for x, y in zip(u, v)]
-    assert t.add_codes_vec(int(u[0]), v).tolist() == [t.add_codes(int(u[0]), int(y)) for y in v]
 
 
 @pytest.mark.parametrize("p,r,m", [(3, 1, 6), (2, 1, 8), (5, 1, 3), (3, 2, 3)])

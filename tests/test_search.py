@@ -275,6 +275,32 @@ def test_resolve_pair_checkpoint_mismatch_ignored(tmp_path):
     assert rep.status == "exception_found" and len(rep.bad_quadratics) == 32
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("sweep_position", 50),
+        ("sweep_position", "4"),
+        ("sweep_position", -8),
+        ("sweep_position", True),
+        ("probes_done", -1),
+        ("bad_quadratics", [[1, 2]]),
+    ],
+    ids=["position-past-Q", "position-string", "position-negative", "position-bool",
+         "probes-negative", "bad-pair"],
+)
+def test_resolve_pair_ignores_checkpoint_with_values_out_of_range(tmp_path, key, value):
+    # resuming these gave a wrong verdict (position 50 of 9 swept nothing) or a traceback
+    ck = str(tmp_path / "ck.json")
+    fresh = {"kernel": search_mod.SWEEP_KERNEL, "q": 3, "m": 2, "sweep_position": 0,
+             "bad_quadratics": [], "probes_done": 0}
+    with open(ck, "w", encoding="utf-8") as fh:
+        json.dump(dict(fresh, **{key: value}), fh)
+    rep = resolve_pair(3, 2, threads=1, checkpoint_path=ck)
+    assert rep.status == "exception_found" and len(rep.bad_quadratics) == 32
+    assert rep.quadratics_checked == 576
+    assert rep.probes_done == resolve_pair(3, 2, threads=1).probes_done
+
+
 def test_bad_quadratics_sorted_by_sweep_order():
     rep = resolve_pair(3, 2, threads=1)
     t = build_extension(3, 1, 2)
@@ -292,13 +318,31 @@ def test_bad_quadratics_sorted_by_sweep_order():
 
 
 def test_symmetry_reduction_validation():
-    # valid on F9, invalid on F27 (the x^2+x-1 orbit is mixed), so the
-    # +-f(+-x) reduction is never trusted for sweeps
-    res9 = validate_quadratic_symmetry(build_extension(3, 1, 2))
-    assert res9["reduction_valid"]
+    # Frozen from the full sweep, for F27 by
+    #   PYTHONPATH=src python -c "from ffpn.gf import build_extension as b; \
+    #   from ffpn.search import validate_quadratic_symmetry as v; print(v(b(3, 1, 3)))"
+    # Valid on F9 (32 bad triples) and on F81 as (3,1,4) (48); invalid on F27,
+    # where each of the 31 bad triples lies in its own mixed orbit (x^2+x-1's
+    # among them), so the +-f(+-x) reduction is never trusted for sweeps.
+    for m, nbad in [(2, 32), (4, 48)]:
+        t = build_extension(3, 1, m)
+        res = validate_quadratic_symmetry(t)
+        assert res["reduction_valid"] and res["mixed_orbits"] == []
+        assert res["orbits_checked"] == t.Q * (t.Q - 1) ** 2
+        assert len(resolve_pair(3, m, threads=1).bad_quadratics) == nbad
     res27 = validate_quadratic_symmetry(build_extension(3, 1, 3))
-    assert not res27["reduction_valid"]
-    assert sorted(t for orb in res27["mixed_orbits"] for t in orb).count((1, 1, 2)) == 1
+    bad = set(resolve_pair(3, 3, threads=1).bad_quadratics)
+    assert not res27["reduction_valid"] and res27["orbits_checked"] == 18252
+    mixed = res27["mixed_orbits"]
+    assert len(mixed) == len(bad) == 31 and mixed == sorted(mixed)
+    assert [sum(f in bad for f in orb) for orb in mixed] == [1] * 31
+    assert sorted(t for orb in mixed for t in orb).count((1, 1, 2)) == 1
+
+
+def test_symmetry_audit_refuses_field_above_sweep_cap():
+    # F_6561 is past SWEEP_FIELD_LIMIT: refused at once, not decided triple by triple
+    with pytest.raises(SizeBudgetExceeded):
+        validate_quadratic_symmetry(build_extension(3, 1, 8, tables="off"))
 
 
 def test_quadratic_orbit_structure():
@@ -397,7 +441,7 @@ def test_context_masks_equal_digit_matrix_reference(p, r, m):
     # g_bits from kernel enumeration vs every code through each quotient matrix
     t = build_extension(p, r, m)
     ctx = search_context(t)
-    digits = t.digits_all().astype(np.int64)
+    digits = np.arange(t.Q)[:, None] // p ** np.arange(t.n) % p
     gb = np.zeros(t.Q, dtype=np.int64)
     for j, mat in enumerate(ctx.tp.quotient_matrices()):
         gb |= (digits @ mat.T % p).any(axis=1).astype(np.int64) << j
@@ -480,7 +524,7 @@ def test_pair_tables_give_the_cover_row_of_every_g_alpha(p, r, m):
     ctx = search_context(t)
     zx, rows = ctx.pair_tables()
     Q, N, rad = t.Q, t.N, ctx.rad
-    digits = t.digits_all().astype(np.int16)
+    digits = np.arange(Q)[:, None] // p ** np.arange(t.n) % p
     pw = np.array([p**i for i in range(t.n)], dtype=np.int64)
     add = np.array([((digits[u] + digits) % p) @ pw for u in range(Q)])
     codes = np.arange(Q)

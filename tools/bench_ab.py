@@ -11,6 +11,9 @@ perfbench/ and src/.  Writes BENCH_<number>.json at the repository root
 with every run's end-to-end metrics and, per workload and metric, each
 side's median and quartiles and how many pairs the working tree won
 (better by the direction BENCHMARK.json gives; ties count for neither).
+Each run also records src_lines and src_sha256 from the `env {...}` line
+that perfbench/run.py prints, and "src" holds them per side, so the line
+count of src/ stands next to the numbers.
 Exits 1 if any run reports "correct": false or produces no result.
 """
 
@@ -50,6 +53,7 @@ def bench_once(tree, workload, seed, seconds):
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
+        env = next((json.loads(line[4:]) for line in lines if line.startswith("env {")), {})
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "exit": proc.returncode}
@@ -59,6 +63,8 @@ def bench_once(tree, workload, seed, seconds):
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "exit": proc.returncode,
+        "src_lines": env.get("src_lines"),
+        "src_sha256": env.get("src_sha256"),
     }
 
 
@@ -136,6 +142,12 @@ def main(argv=None):
                           f"correct {run['correct']}", flush=True)
             report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, directions)}
     report["correct"] = all_correct
+    report["src"] = {
+        r["side"]: {"src_lines": r.get("src_lines"), "src_sha256": r.get("src_sha256")}
+        for entry in report["workloads"].values()
+        for r in entry["runs"]
+        if r.get("src_sha256")
+    }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -145,6 +157,8 @@ def main(argv=None):
             print(f"{workload:10s} {name:12s} base {s['base']['median']:.6g} "
                   f"work {s['work']['median']:.6g}  work wins {s['work_wins']}/"
                   f"{s['work_wins'] + s['work_losses']}")
+    for side, src in sorted(report["src"].items()):
+        print(f"{side} src/ lines {src['src_lines']} sha256 {src['src_sha256']}")
     print(f"wrote {path}")
     return 0 if all_correct else 1
 
