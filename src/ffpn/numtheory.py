@@ -36,25 +36,27 @@ _small_primes_cache = None
 _small_primes_lock = threading.Lock()
 
 
+def _primes_upto(limit):
+    """numpy array of the primes <= limit, ascending: a sieve of Eratosthenes."""
+    sieve = np.ones(max(limit + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return np.flatnonzero(sieve)
+
+
 def small_primes():
     """All primes up to TRIAL_LIMIT, ascending, built once and cached.
 
-    A numpy boolean sieve of Eratosthenes finds them; the list holds Python
-    ints, not numpy scalars, because trial division takes rem % p on
-    integers far beyond int64.
+    The list holds Python ints, not numpy scalars, because trial division
+    takes rem % p on integers far beyond int64.
     """
     global _small_primes_cache
     if _small_primes_cache is None:
         with _small_primes_lock:
             if _small_primes_cache is None:
-                sieve = np.ones(TRIAL_LIMIT + 1, dtype=bool)
-                sieve[:2] = False
-                for i in range(2, isqrt(TRIAL_LIMIT) + 1):
-                    if sieve[i]:
-                        sieve[i * i :: i] = False
-                primes = np.flatnonzero(sieve)
-                del sieve  # before the list of ints is built: keeps the peak low
-                _small_primes_cache = primes.tolist()
+                _small_primes_cache = _primes_upto(TRIAL_LIMIT).tolist()
     return _small_primes_cache
 
 
@@ -481,10 +483,6 @@ def multiplicative_stats(f: IntFactorization) -> MultStats:
 def omega_table(limit):
     """numpy uint8 array t with t[n] = omega(n) for 0 <= n <= limit."""
     t = np.zeros(limit + 1, dtype=np.uint8)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, limit + 1):
-        if sieve[i]:
-            sieve[2 * i :: i] = False
-            t[i::i] += 1
+    for p in _primes_upto(limit).tolist():
+        t[p::p] += 1
     return t

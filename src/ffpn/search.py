@@ -21,13 +21,12 @@ independent of worker count, and sweeps checkpoint to JSON for resume.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,6 +44,7 @@ RESOLVE_BUDGET = 10**11
 SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in-process: a pool costs more than them
 # checkpoints from another kernel count sweep positions in other units
 SWEEP_KERNEL = "radical-residue-1"
+CHECKPOINT_EVERY = 64  # blocks folded between checkpoint writes
 CHECKPOINT_KEYS = {"kernel", "q", "m", "sweep_position", "bad_quadratics", "probes_done"}
 
 
@@ -267,18 +267,9 @@ class PairReport:
     total_a: int
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "m": self.m,
-            "status": self.status,
-            "quadratics_checked": self.quadratics_checked,
-            "probes_done": self.probes_done,
+        return asdict(self) | {
             "bad_quadratics": [list(t) for t in self.bad_quadratics],
-            "witnesses": self.witnesses,
             "elapsed": round(self.elapsed, 3),
-            "budget": self.budget,
-            "sweep_position": self.sweep_position,
-            "total_a": self.total_a,
         }
 
 
@@ -290,24 +281,30 @@ def _sweep_context(p, r, m):
     return ctx
 
 
-def _sweep_block(args):
-    """Sweep one b'-block [ib0, ib1) in-process; returns its _sweep_run tuple."""
-    return _sweep_run(args)[0]
+_sweep_cut = None  # in pool workers: the event set once the budget cuts the sweep
+
+
+def _sweep_worker(cut):
+    global _sweep_cut
+    _sweep_cut = cut
 
 
 def _sweep_run(args):
     """Worker: sweep b'-positions [ib0, ib1), SWEEP_BATCH blocks per row batch.
 
-    ib0 is a block boundary.  Returns one (count, bads, probes, checked,
-    samples) tuple per SWEEP_BLOCK block, in order; a block's tuple does not
-    depend on which blocks share its batch.
+    Returns one (bads, probes) pair per SWEEP_BLOCK block from ib0, in
+    order; a block's pair does not depend on which blocks share its batch.
+    A pool worker stops between batches once the sweep is cut; nothing
+    reads the rest of its run.
     """
-    p, r, m, ib0, ib1, want_samples = args
+    p, r, m, ib0, ib1 = args
     ctx = _sweep_context(p, r, m)
     span = SWEEP_BLOCK * SWEEP_BATCH
     out = []
     for ib in range(ib0, ib1, span):
-        out += _sweep_kernel(ctx, ib, min(ib + span, ib1), want_samples)
+        if _sweep_cut is not None and _sweep_cut.is_set():
+            break
+        out += _sweep_kernel(ctx, ib, min(ib + span, ib1))[0]
     return out
 
 
@@ -324,7 +321,7 @@ def _u_logs(tower, ka, bvals):
     return lu
 
 
-def _sweep_kernel(ctx, ib0, ib1, want_samples):
+def _sweep_kernel(ctx, ib0, ib1, want_samples=0):
     """Sweep b'-positions [ib0, ib1) as one batch of rows, one per monic g.
 
     Each admissible monic g = x^2 + b'x + c' (c' != b'^2) carries a cover:
@@ -334,7 +331,8 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
     round expand to the bad triples (a, a b', a c').  Each round counts the
     (f, alpha) probes of the plain scan: N / rad for every uncovered residue
     of every g.  A row keeps the index of its b' in the batch, which names
-    its SWEEP_BLOCK block; probes, checked, bads and samples are per block.
+    its SWEEP_BLOCK block.  Returns (blocks, samples): blocks holds one
+    (bads, probes) pair per block, in order.
 
     Everything is in logs.  A row holds lcN = log c' + N (3N for c' = 0);
     round i takes lu = log(alpha_i^2 + alpha_i b') for the row's b' (-3N for
@@ -344,10 +342,11 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
     Rows whose cover is full stay in place until they are half or more of
     the rows, then are dropped all at once.  That changes nothing: a full
     row counts no probe, gains no fresh residue, stays full and expands to
-    no bad triple, and dropping keeps the order of the rest.  While a block
-    keeps fewer than want_samples witnesses, round i adds one to it: from
-    the block's first row whose cover grew, the lowest residue x it newly
-    covered, as (a, a b', a c', alpha_i, a g(alpha_i)) with a = exp[x].
+    no bad triple, and dropping keeps the order of the rest.  While samples
+    holds fewer than want_samples witnesses, round i adds one: from the
+    first row whose cover grew, the lowest residue x it newly covered, as
+    (a, a b', a c', alpha_i, a g(alpha_i)) with a = exp[x].  Only one-block
+    calls ask for samples, so they are that block's.
     """
     tower = ctx.tower
     zx, rows = ctx.pair_tables()
@@ -367,7 +366,6 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
     # admissible: c' != b'^2, whose lv is 2 log b' mod N + N, or 3N for b' = 0
     adm = cc != np.where(bvals == 3 * N, 3 * N, 2 * (bvals - N) % N + N)[bi]
     bi, cc = bi[adm], cc[adm]
-    checked = np.bincount(bi // SWEEP_BLOCK, minlength=nb) * N
     # each round writes the new cover into spare, then the two swap
     cover = np.zeros((len(bi), words), dtype=rows.dtype)
     spare = np.empty_like(cover)
@@ -375,7 +373,7 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
     uncovered = np.full(len(bi), rad, dtype=np.int16)
     seen = np.zeros(len(bi), dtype=np.int64)  # per row: uncovered residues summed over rounds
     probes = np.zeros(nb, dtype=np.int64)
-    samples = [[] for _ in range(nb)]
+    samples = []
     for i, alpha in enumerate(ctx.pn_codes.tolist()):
         if not len(bi):
             break
@@ -389,18 +387,13 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
         for w in range(1, words):
             covered += np.bitwise_count(new[:, w])
         unc = rad - covered
-        if want_samples:
-            bounds = np.searchsorted(bi, SWEEP_BLOCK * np.arange(nb + 1))
-            for k in range(nb):
-                s, e = bounds[k], bounds[k + 1]
-                grew = unc[s:e] < uncovered[s:e]
-                if len(samples[k]) < want_samples and grew.any():
-                    # the first residue x newly witnessed; a = exp[x] has dlog x
-                    j = s + int(np.argmax(grew))
-                    fresh = new[j] & ~cover[j]
-                    x = int(np.argmax(np.unpackbits(fresh.view(np.uint8), bitorder="little")))
-                    f = (exp[x], exp4[x + bvals[bi[j]]], exp4[x + cc[j]])
-                    samples[k].append((*map(int, f), alpha, int(exp[(x + L[j]) % N])))
+        if len(samples) < want_samples and (grew := unc < uncovered).any():
+            # the first residue x newly witnessed; a = exp[x] has dlog x
+            j = int(np.argmax(grew))
+            fresh = new[j] & ~cover[j]
+            x = int(np.argmax(np.unpackbits(fresh.view(np.uint8), bitorder="little")))
+            f = (exp[x], exp4[x + bvals[bi[j]]], exp4[x + cc[j]])
+            samples.append((*map(int, f), alpha, int(exp[(x + L[j]) % N])))
         cover, spare, uncovered = new, cover, unc
         if 2 * np.count_nonzero(uncovered) <= len(uncovered):
             full = uncovered == 0
@@ -425,11 +418,7 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples):
         )
         for k, *t in bad:
             bads[k].append(tuple(t))
-    return [
-        (min(SWEEP_BLOCK, len(bvals) - SWEEP_BLOCK * k), bads[k],
-         per_residue * int(probes[k]), int(checked[k]), samples[k])
-        for k in range(nb)
-    ]
+    return [(bads[k], per_residue * int(probes[k])) for k in range(nb)], samples
 
 
 def _write_checkpoint(path, q, m, sweep_position, bad, probes):
@@ -454,13 +443,14 @@ def _in_range(v, hi):
 def _read_checkpoint(path, q, m):
     """The checkpoint at path if this kernel wrote it for (q, m), else None.
 
-    Its values must be in range: sweep_position in [0, Q], probes_done >= 0
-    and bad_quadratics a list of 3-code lists, each code in [0, Q).
+    A file that is missing or not UTF-8 JSON gives None, as do values out of
+    range: sweep_position must be in [0, Q], probes_done >= 0 and
+    bad_quadratics a list of 3-code lists, each code in [0, Q).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not isinstance(data, dict) or not CHECKPOINT_KEYS <= set(data):
         return None
@@ -480,7 +470,6 @@ def resolve_pair(
     budget=RESOLVE_BUDGET,
     threads=None,
     checkpoint_path=None,
-    checkpoint_every=64,
     witness_samples=10,
 ) -> PairReport:
     """Definitively resolve the pair (q, m) by full coefficient sweep.
@@ -497,62 +486,56 @@ def resolve_pair(
     (2187,1) count 20,921,201,317 and 20,922,951,606 probes, so the default
     lets every field under SWEEP_FIELD_LIMIT finish; exhaustion is a status,
     not an error.  Fields above SWEEP_FIELD_LIMIT raise SizeBudgetExceeded
-    before any sweeping.
+    before any sweeping, and a checkpoint_path that is a directory or is in
+    no existing directory raises ValueError before any table is built.
 
     Only the leading blocks' witness samples reach the report, so those
-    blocks sweep in-process, one at a time, until witness_samples are kept;
-    the rest sweep without samples, SWEEP_BATCH blocks per row batch, in
-    contiguous runs: SWEEP_RUNS_PER_WORKER runs per pool worker, or one batch
-    per run in-process.  Fields with fewer than SWEEP_POOL_MIN_G monic g
-    always sweep in-process.  Results are folded in block by block, in
-    order, so the report does not depend on threads.
+    blocks sweep in-process, one kernel call each, until witness_samples are
+    kept; the rest sweep without samples, SWEEP_BATCH blocks per row batch,
+    in contiguous runs: SWEEP_RUNS_PER_WORKER runs per pool worker, or one
+    batch per run in-process.  Fields with fewer than SWEEP_POOL_MIN_G monic
+    g always sweep in-process.  Blocks are folded in one by one, in order,
+    so the report does not depend on threads.
     """
     p, r = prime_power_split(q)
+    if checkpoint_path and os.path.isdir(checkpoint_path):
+        raise ValueError(f"checkpoint path {checkpoint_path} is a directory")
+    if checkpoint_path and not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
+        raise ValueError(f"checkpoint path {checkpoint_path} is in no existing directory")
     # tables are built before forking so workers inherit them
-    tower = _sweep_context(p, r, m).tower
+    ctx = _sweep_context(p, r, m)
+    tower = ctx.tower
     start = time.monotonic()
     Q = tower.Q
 
-    start_ib = 0
-    bad = []
-    probes = 0
-    checked = 0
-    if checkpoint_path:
-        ck = _read_checkpoint(checkpoint_path, q, m)
-        if ck:
-            start_ib = ck["sweep_position"]
-            bad = [tuple(t) for t in ck["bad_quadratics"]]
-            probes = ck["probes_done"]
-            # each b' position holds Q - 1 admissible monic g, each g N triples
-            checked = start_ib * (Q - 1) * tower.N
+    ck = checkpoint_path and _read_checkpoint(checkpoint_path, q, m)
+    sweep_position, probes = (ck["sweep_position"], ck["probes_done"]) if ck else (0, 0)
+    bad = [tuple(t) for t in ck["bad_quadratics"]] if ck else []
 
     samples = []
-    sweep_position = start_ib
     blocks_done = 0
     exhausted = False
 
-    def consume(result):
-        """Fold in one block's tuple; False once the budget cuts the sweep."""
-        nonlocal probes, checked, sweep_position, blocks_done, exhausted
-        count, b_bads, b_probes, b_checked, b_samples = result
+    def consume(block):
+        """Fold in one block's (bads, probes); False once the budget cuts the sweep."""
+        nonlocal probes, sweep_position, blocks_done, exhausted
+        b_bads, b_probes = block
         bad.extend(b_bads)
         probes += b_probes
-        checked += b_checked
-        samples.extend(b_samples[: witness_samples - len(samples)])
-        sweep_position += count
+        sweep_position += min(SWEEP_BLOCK, Q - sweep_position)
         blocks_done += 1
-        if checkpoint_path and blocks_done % checkpoint_every == 0:
+        if checkpoint_path and blocks_done % CHECKPOINT_EVERY == 0:
             _write_checkpoint(checkpoint_path, q, m, sweep_position, bad, probes)
-        if probes >= budget and sweep_position < Q:
-            exhausted = True
-            return False
-        return True
+        exhausted = probes >= budget and sweep_position < Q
+        return not exhausted
 
     # only the leading blocks' samples reach the report: sweep them here, one
     # at a time, and every later block without samples
     while not exhausted and sweep_position < Q and len(samples) < witness_samples:
         end = min(sweep_position + SWEEP_BLOCK, Q)
-        consume(_sweep_block((p, r, m, sweep_position, end, witness_samples - len(samples))))
+        (block,), got = _sweep_kernel(ctx, sweep_position, end, witness_samples - len(samples))
+        samples += got
+        consume(block)
     stop = sweep_position if exhausted else Q
     if threads is None:
         threads = os.cpu_count() or 1
@@ -563,26 +546,32 @@ def resolve_pair(
     batches = -(-(stop - sweep_position) // batch_len)
     per_run = max(1, -(-batches // (threads * SWEEP_RUNS_PER_WORKER))) if threads > 1 else 1
     runs = [
-        (p, r, m, ib, min(ib + batch_len * per_run, Q), 0)
+        (p, r, m, ib, min(ib + batch_len * per_run, Q))
         for ib in range(sweep_position, stop, batch_len * per_run)
     ]
     threads = min(threads, len(runs))
-    with contextlib.ExitStack() as stack:
-        if threads > 1:
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(threads))
-            results = pool.imap(_sweep_run, runs)
-        else:
-            results = map(_sweep_run, runs)
+    if threads > 1:
+        fork = multiprocessing.get_context("fork")
+        cut = fork.Event()
+        pool = fork.Pool(threads, _sweep_worker, (cut,))
+        results = pool.imap(_sweep_run, runs)
+    else:
+        results = map(_sweep_run, runs)
+    try:
         for run in results:
             if not all(map(consume, run)):
                 break
+    finally:
+        if threads > 1:
+            # let the workers finish on their own: one terminated while it
+            # sends a result leaves the result queue locked and the pool hung
+            cut.set()
+            pool.close()
+            pool.join()
 
     bad.sort(key=lambda t: _sweep_sort_key(tower, t))
-    if exhausted:
-        status = "budget_exhausted"
-    else:
-        sweep_position = Q
-        status = "exception_found" if bad else "resolved_no_exception"
+    status = ("budget_exhausted" if exhausted
+              else "exception_found" if bad else "resolved_no_exception")
     if checkpoint_path:
         _write_checkpoint(checkpoint_path, q, m, sweep_position, bad, probes)
 
@@ -600,7 +589,8 @@ def resolve_pair(
         q=q,
         m=m,
         status=status,
-        quadratics_checked=checked,
+        # each b' position holds Q - 1 admissible monic g, each g N triples
+        quadratics_checked=sweep_position * (Q - 1) * tower.N,
         probes_done=probes,
         bad_quadratics=bad,
         witnesses=witnesses,
@@ -612,11 +602,8 @@ def resolve_pair(
 
 
 def _sweep_sort_key(tower, triple):
-    a, b, c = triple
-    la = tower.log[a]
-    kb = -1 if b == 0 else int(tower.log[b])
-    kc = -1 if c == 0 else int(tower.log[c])
-    return (int(la), kb, kc)
+    """(dlog a, dlog b, dlog c), -1 for a zero b or c: the sweep's order."""
+    return tuple(int(tower.log[x]) if x else -1 for x in triple)
 
 
 # ---------------------------------------------------------------------------

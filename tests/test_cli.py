@@ -169,6 +169,41 @@ def test_resolve_pair_command(capsys, tmp_path):
     assert len(payload["bad_quadratics"]) == 32
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_resolve_pair_refuses_unwritable_checkpoint_path_before_sweeping(
+    capsys, monkeypatch, tmp_path, where
+):
+    # both used to end in a traceback with exit 1, a missing directory only
+    # after the whole sweep
+    import ffpn.search as search_mod
+
+    def no_tables(*args):
+        raise AssertionError("built sweep tables for a checkpoint that cannot be written")
+
+    monkeypatch.setattr(search_mod, "_sweep_context", no_tables)
+    path = tmp_path / "missing" / "ck.json" if where == "missing-directory" else tmp_path
+    code = main(["--json", "--threads", "1", "resolve-pair", "--q", "3", "--m", "2",
+                 "--checkpoint", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: checkpoint path ") and captured.err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_resolve_pair_ignores_non_utf8_checkpoint(capsys, tmp_path):
+    # ignored like corrupt JSON; it exited 2 with "'utf-8' codec can't decode"
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(b"\xff\xfe{")
+    code, out = run_cli(
+        capsys, "--json", "--threads", "1",
+        "resolve-pair", "--q", "3", "--m", "2", "--checkpoint", str(ck),
+    )
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["status"] == "exception_found" and len(payload["bad_quadratics"]) == 32
+    assert json.loads(ck.read_text(encoding="utf-8"))["sweep_position"] == 9
+
+
 def test_char_audit_command(capsys):
     code, out = run_cli(
         capsys, "--json", "--threads", "1",

@@ -65,12 +65,13 @@ def test_sweep_reports_are_byte_identical(monkeypatch):
 def test_golden_sweep_samples_span_blocks(p, r, m, samples, blocks):
     # the edge cases above (q = p^r) draw their witness samples from several blocks
     Q = p ** (r * m)
+    ctx = search_mod._sweep_context(p, r, m)
     got = used = 0
     for ib in range(0, Q, search_mod.SWEEP_BLOCK):
         if got >= samples:
             break
-        block = (p, r, m, ib, min(ib + search_mod.SWEEP_BLOCK, Q), samples)
-        got += len(search_mod._sweep_block(block)[4])
+        end = min(ib + search_mod.SWEEP_BLOCK, Q)
+        got += len(search_mod._sweep_kernel(ctx, ib, end, samples - got)[1])
         used += 1
     assert used == blocks
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -205,18 +208,31 @@ def test_resolve_pair_pool_matches_in_process(monkeypatch):
 
 @pytest.mark.parametrize("p,r,m", [(3, 1, 4), (3, 2, 2), (3, 1, 5)])
 def test_batched_run_equals_single_block_sweeps(p, r, m):
-    # a run's per-block tuples (bads, probes, checked, samples) do not depend
-    # on which blocks share a row batch; Q = 81 and 243 end in a ragged block
-    import ffpn.search as search_mod
-
+    # a run's per-block (bads, probes) do not depend on which blocks share a
+    # row batch; Q = 81 and 243 end in a ragged block
     Q = p ** (r * m)
     step = search_mod.SWEEP_BLOCK
-    single = [
-        search_mod._sweep_block((p, r, m, ib, min(ib + step, Q), 10)) for ib in range(0, Q, step)
-    ]
-    assert search_mod._sweep_run((p, r, m, 0, Q, 10)) == single
+    ctx = search_mod._sweep_context(p, r, m)
+    single = []
+    for ib in range(0, Q, step):
+        blocks, samples = search_mod._sweep_kernel(ctx, ib, min(ib + step, Q))
+        assert len(blocks) == 1 and samples == []
+        single += blocks
+    assert search_mod._sweep_run((p, r, m, 0, Q)) == single
     # a run that starts mid-sweep, on a block boundary
-    assert search_mod._sweep_run((p, r, m, 3 * step, Q, 10)) == single[3:]
+    assert search_mod._sweep_run((p, r, m, 3 * step, Q)) == single[3:]
+
+
+def test_runs_stop_once_the_sweep_is_cut(monkeypatch):
+    # a budget cut sets the pool's event and joins the pool: runs still out
+    # return at once, so no worker is terminated in the middle of a send
+    import threading
+
+    cut = threading.Event()
+    monkeypatch.setattr(search_mod, "_sweep_cut", cut)
+    assert len(search_mod._sweep_run((3, 1, 4, 0, 81))) == 11
+    cut.set()
+    assert search_mod._sweep_run((3, 1, 4, 0, 81)) == []
 
 
 def test_pool_budget_cut_matches_in_process(monkeypatch):
@@ -232,14 +248,32 @@ def test_pool_budget_cut_matches_in_process(monkeypatch):
                  for d in (rep.to_dict() for rep in cut))
     assert pool == one
     step = search_mod.SWEEP_BLOCK
+    ctx = search_mod._sweep_context(3, 1, 4)
     probes = position = 0
     while probes < budget:
-        probes += search_mod._sweep_block((3, 1, 4, position, position + step, 0))[2]
+        (block,), _ = search_mod._sweep_kernel(ctx, position, position + step)
+        probes += block[1]
         position += step
     assert (one["status"], one["sweep_position"], one["probes_done"]) == (
         "budget_exhausted", position, probes
     )
     assert 0 < position < 81
+
+
+def test_pool_budget_cuts_do_not_hang():
+    # terminating the pool after a cut could kill a worker in the middle of
+    # sending a result, leaving the result queue locked and the pool's exit
+    # hung; 100 such cuts hung 3 runs in 5 before the pool was joined instead
+    code = (
+        "import ffpn.search as s\n"
+        "s.SWEEP_POOL_MIN_G = 0\n"
+        "for _ in range(80):\n"
+        "    rep = s.resolve_pair(3, 4, budget=400_000, threads=2, witness_samples=0)\n"
+        "    assert rep.probes_done == 512_256\n"
+    )
+    src = os.path.dirname(os.path.dirname(search_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
 
 
 def test_resolve_pair_deterministic_and_idempotent():
@@ -265,6 +299,38 @@ def test_resolve_pair_budget_and_resume(tmp_path):
     assert resumed.status == full.status
     assert resumed.bad_quadratics == full.bad_quadratics
     assert resumed.probes_done == full.probes_done
+
+
+# (q, m, budget, threads): sweep_position, probes_done, quadratics_checked,
+# bad count, witness count; frozen while blocks still carried their own
+# counts, by
+#   PYTHONPATH=src python -c "from ffpn.search import resolve_pair
+#   for q, m, b, t in [(3, 4, 400000, 1), (3, 3, 5000, 1), (27, 2, 10**8, 1), (27, 2, 10**8, 2)]:
+#       r = resolve_pair(q, m, budget=b, threads=t)
+#       print(r.sweep_position, r.probes_done, r.quadratics_checked,
+#             len(r.bad_quadratics), len(r.witnesses))"
+BUDGET_CUTS = {
+    (3, 4, 400_000, 1): (32, 512_256, 204_800, 32, 10),
+    (3, 3, 5000, 1): (8, 11_527, 5_408, 13, 9),
+    (27, 2, 10**8, 1): (80, 107_014_232, 42_398_720, 0, 10),
+    (27, 2, 10**8, 2): (80, 107_014_232, 42_398_720, 0, 10),
+}
+
+
+@pytest.mark.parametrize("q,m,budget,threads", list(BUDGET_CUTS))
+def test_budget_cuts_are_frozen_and_resume_to_the_full_sweep(tmp_path, q, m, budget, threads):
+    ck = str(tmp_path / "ck.json")
+    cut = resolve_pair(q, m, budget=budget, threads=threads, checkpoint_path=ck)
+    assert cut.status == "budget_exhausted"
+    assert (cut.sweep_position, cut.probes_done, cut.quadratics_checked,
+            len(cut.bad_quadratics), len(cut.witnesses)) == BUDGET_CUTS[q, m, budget, threads]
+    # witnesses come from the leading blocks of each call, so they differ
+    resumed, full = (
+        {k: v for k, v in rep.to_dict().items() if k not in ("elapsed", "witnesses")}
+        for rep in (resolve_pair(q, m, threads=threads, checkpoint_path=ck),
+                    resolve_pair(q, m, threads=threads))
+    )
+    assert resumed == full
 
 
 def test_resolve_pair_checkpoint_mismatch_ignored(tmp_path):
@@ -359,7 +425,7 @@ def test_resolve_pair_refuses_oversized_field_before_sweeping(monkeypatch, tmp_p
         raise AssertionError("swept a field above the sweep cap")
 
     monkeypatch.setattr(search_mod, "SWEEP_FIELD_LIMIT", 8)
-    monkeypatch.setattr(search_mod, "_sweep_block", no_sweep)
+    monkeypatch.setattr(search_mod, "_sweep_kernel", no_sweep)
     # the 2N x rad(N) cover rows must not be sized before the refusal
     monkeypatch.setattr(search_mod.SearchContext, "pair_tables", no_sweep)
     ck = tmp_path / "ck.json"

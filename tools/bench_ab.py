@@ -13,7 +13,10 @@ side's median and quartiles and how many pairs the working tree won
 (better by the direction BENCHMARK.json gives; ties count for neither).
 Each run also records src_lines and src_sha256 from the `env {...}` line
 that perfbench/run.py prints, and "src" holds them per side, so the line
-count of src/ stands next to the numbers.
+count of src/ stands next to the numbers.  After the benchmark runs, each
+side's Tier-1 suite (`python -m pytest -q --continue-on-collection-errors`
+on its own src/) runs once, and "src" holds its passed and failed counts
+and its wall seconds under "tier1".
 Exits 1 if any run reports "correct": false or produces no result.
 """
 
@@ -24,14 +27,17 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600  # perfbench/run.py ends each run within 180 s
+TIER1_TIMEOUT_S = 1800  # the suite takes 15-30 s on 2 vCPUs
 
 
 def export_revision(rev, dest):
@@ -66,6 +72,21 @@ def bench_once(tree, workload, seed, seconds):
         "src_lines": env.get("src_lines"),
         "src_sha256": env.get("src_sha256"),
     }
+
+
+def tier1(tree):
+    """Run tree's Tier-1 suite once: its passed and failed counts and wall seconds."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"],
+        cwd=tree, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S,
+        env=dict(os.environ, PYTHONPATH=os.path.join(tree, "src")),
+    )
+    seconds = round(time.monotonic() - start, 2)
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0), "seconds": seconds}
 
 
 def quartiles(values):
@@ -141,13 +162,16 @@ def main(argv=None):
                     print(f"{workload} pair {pair + 1}/{pairs} {side}: wall_s {wall} "
                           f"correct {run['correct']}", flush=True)
             report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, directions)}
+        report["src"] = {
+            r["side"]: {"src_lines": r.get("src_lines"), "src_sha256": r.get("src_sha256")}
+            for entry in report["workloads"].values()
+            for r in entry["runs"]
+            if r.get("src_sha256")
+        }
+        for side, tree in trees.items():
+            report["src"].setdefault(side, {})["tier1"] = tier1(tree)
+            print(f"{side} tier1 {report['src'][side]['tier1']}", flush=True)
     report["correct"] = all_correct
-    report["src"] = {
-        r["side"]: {"src_lines": r.get("src_lines"), "src_sha256": r.get("src_sha256")}
-        for entry in report["workloads"].values()
-        for r in entry["runs"]
-        if r.get("src_sha256")
-    }
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -158,7 +182,7 @@ def main(argv=None):
                   f"work {s['work']['median']:.6g}  work wins {s['work_wins']}/"
                   f"{s['work_wins'] + s['work_losses']}")
     for side, src in sorted(report["src"].items()):
-        print(f"{side} src/ lines {src['src_lines']} sha256 {src['src_sha256']}")
+        print(f"{side} src/ lines {src.get('src_lines')} sha256 {src.get('src_sha256')}")
     print(f"wrote {path}")
     return 0 if all_correct else 1
 
