@@ -148,7 +148,7 @@ def cmd_sieve(args):
 
 
 def cmd_auto_sieve(args):
-    rep = sieve.auto_sieve(args.q, args.m, budget=args.budget, cache=_cache(args))
+    rep = sieve.auto_sieve(args.q, args.m, cache=_cache(args))
     emit(args, rep.to_dict(), _report_lines(rep))
     return 0
 
@@ -308,10 +308,9 @@ def build_parser():
     s.add_argument("--g", default="all", help="'all', '1', or factor indices like 0,2")
     s.set_defaults(func=cmd_sieve)
 
-    s = sub.add_parser("auto-sieve", help="search (d, g) configurations")
+    s = sub.add_parser("auto-sieve", help="best (d, g) configuration")
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--budget", type=int, default=sieve.AUTO_SIEVE_BUDGET)
     s.set_defaults(func=cmd_auto_sieve)
 
     s = sub.add_parser("table", help="reproduce a published decision table")

@@ -562,13 +562,15 @@ class FieldTower:
 
         v is a column of base-p digits; the kernel's span is enumerated as
         digit rows, so this costs O(#kernel n) and needs no log tables.
+        Codes are int64 while Q <= 2^63 and Python ints above.
         """
         p, n = self.p, self.n
         span = np.zeros((1, n), dtype=np.int64)
         for vec in _kernel_mod_p(mat, p):
             steps = np.arange(p, dtype=np.int64)[:, None, None] * np.array(vec)
             span = ((span + steps) % p).reshape(-1, n)
-        return np.sort(span @ np.array(self._pw[:n], dtype=np.int64))
+        dtype = np.int64 if self.Q <= 1 << 63 else object
+        return np.sort(span.astype(dtype) @ np.array(self._pw[:n], dtype=dtype))
 
     def subfield_codes(self, degree=None):
         """Codes of the subfield of p^degree elements, ascending.

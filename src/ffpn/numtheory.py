@@ -213,7 +213,9 @@ class FactorCache:
 
     Primes are listed with multiplicity in increasing order.  Lookups may
     happen concurrently; writes are serialized and atomic.  A file that is
-    not such a JSON object raises CorruptCache and is left as it is; an
+    not such a JSON object, a directory at the path or at the PATH.tmp that
+    writes go through, or a path in no existing directory raises
+    CorruptCache and is left as it is; an
     entry whose product is not n or whose members are not all prime is
     ignored with a warning that says why, and the next store replaces it.
     """
@@ -225,6 +227,11 @@ class FactorCache:
 
     def _load(self):
         if self._data is None:
+            for path in (self.path, self.path + ".tmp"):
+                if os.path.isdir(path):
+                    raise CorruptCache(f"factor cache {self.path}: {path} is a directory")
+            if not os.path.isdir(os.path.dirname(self.path) or "."):
+                raise CorruptCache(f"factor cache {self.path} is in no existing directory")
             try:
                 with open(self.path, "r", encoding="utf-8") as fh:
                     data = json.load(fh)

@@ -486,8 +486,9 @@ def resolve_pair(
     (2187,1) count 20,921,201,317 and 20,922,951,606 probes, so the default
     lets every field under SWEEP_FIELD_LIMIT finish; exhaustion is a status,
     not an error.  Fields above SWEEP_FIELD_LIMIT raise SizeBudgetExceeded
-    before any sweeping, and a checkpoint_path that is a directory or is in
-    no existing directory raises ValueError before any table is built.
+    before any sweeping, and a checkpoint_path that is a directory, whose
+    PATH.tmp (written before each replace) is a directory, or that is in no
+    existing directory raises ValueError before any table is built.
 
     Only the leading blocks' witness samples reach the report, so those
     blocks sweep in-process, one kernel call each, until witness_samples are
@@ -498,10 +499,12 @@ def resolve_pair(
     so the report does not depend on threads.
     """
     p, r = prime_power_split(q)
-    if checkpoint_path and os.path.isdir(checkpoint_path):
-        raise ValueError(f"checkpoint path {checkpoint_path} is a directory")
-    if checkpoint_path and not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
-        raise ValueError(f"checkpoint path {checkpoint_path} is in no existing directory")
+    if checkpoint_path:
+        for path in (checkpoint_path, checkpoint_path + ".tmp"):
+            if os.path.isdir(path):
+                raise ValueError(f"checkpoint path {checkpoint_path}: {path} is a directory")
+        if not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
+            raise ValueError(f"checkpoint path {checkpoint_path} is in no existing directory")
     # tables are built before forking so workers inherit them
     ctx = _sweep_context(p, r, m)
     tower = ctx.tower

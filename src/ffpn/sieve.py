@@ -16,7 +16,9 @@ from .errors import DivisibilityViolation
 from .fqpoly import FqPolynomial, factor_xm1, xm1_factor_degrees
 from .numtheory import factorize_qm_minus_1, multiplicative_stats, partial_factorize_qm_minus_1
 
-AUTO_SIEVE_BUDGET = 1 << 16
+# auto_sieve's order among equal-degree factors: it leaves out the
+# highest-index ones when t + s is at most this, else the lowest-index ones.
+HIGH_INDEX_TIES_MAX_TS = 16
 # Rho iterations per composite cofactor in basic_condition's first pass.
 # Every cofactor of 3^k - 1, k <= 88, splits on the first attempt within
 # 707,456 iterations (the 31-digit one of Phi_85(3) takes the most).
@@ -307,51 +309,45 @@ def asymptotic_condition(q, m, theta_bound):
     }
 
 
-def auto_sieve(q, m, budget=AUTO_SIEVE_BUDGET, cache=None) -> SieveReport:
-    """Search (d, g) configurations and return the best report.
+def auto_sieve(q, m, cache=None) -> SieveReport:
+    """Best sieve report of all 2^(t+s) cores (d, g), from (t+1)(s+1) of them.
 
-    Exhaustive over all prime-subset x factor-subset choices when that
-    space fits in the budget; otherwise the deterministic prefix family
-    that sieves out the largest primes and largest-degree factors first.
-    Best = minimal exact rhs; ties broken by smaller n + k, then smaller d.
+    t counts the primes of q^m - 1 and s the distinct factors of x^m - 1.
+    Best = minimal exact rhs, ties broken by smaller n + k, then smaller d.
+    For each n and k only the core that leaves out the n largest primes and
+    k factors of largest degree is evaluated.
+
+    Proof.  In the class (n, k), W(d) = 2^(t-n) and Omega(g) = 2^(s-k) are
+    fixed and Lambda = (2n+k-1)/Delta + 2 falls strictly as Delta = 1 - 2 sum
+    1/p_i - sum q^-deg(g_i) rises, unless 2n + k <= 1, where the class has
+    one core (n = k = 0) or all its cores tie (n = 0, k = 1, Lambda = 2).
+    Delta is largest for the n largest primes, a unique set, and the k
+    largest degrees, a unique multiset: any other, sorted, is pointwise no
+    larger and somewhere smaller.  Keys (rhs, n + k, d) never tie across
+    classes, as d fixes n and then n + k fixes k.  The core n = k = 0 has
+    Delta = 1, so the best has an rhs.
+
+    Equal-degree factors still tie.  For t + s <= HIGH_INDEX_TIES_MAX_TS the
+    highest-index ones are left out (the first minimum of the exhaustive
+    search in mask order), above it the lowest-index ones (the
+    (-degree, coeffs) order); both keep earlier reports unchanged.
     """
     primes = factorize_qm_minus_1(q, m, cache=cache).primes()
-    pf = factor_xm1(q, m)
-    degrees = pf.degrees()
+    degrees = factor_xm1(q, m).degrees()
     t = len(primes)
     s = len(degrees)
-    configs = []
-    if (1 << t) * (1 << s) <= budget:
-        for dmask in range(1 << t):
-            d = 1
-            for i in range(t):
-                if dmask >> i & 1:
-                    d *= primes[i]
-            for gmask in range(1 << s):
-                gidx = tuple(i for i in range(s) if gmask >> i & 1)
-                configs.append((d, gidx))
-    else:
-        by_deg_desc = sorted(
-            range(s), key=lambda i: (-pf.factors[i].degree, pf.factors[i].coeffs)
-        )
-        for i in range(t + 1):
-            d = 1
-            for p in primes[: t - i]:
-                d *= p
-            for j in range(s + 1):
-                gidx = tuple(sorted(by_deg_desc[j:]))
-                configs.append((d, gidx))
-    best = None
-    best_key = None
-    for d, gidx in configs:
-        rep = _evaluate_config(q, m, primes, degrees, d, gidx)
-        if rep.rhs is None:
-            key = (1, Fraction(0), rep.config.n + rep.config.k, d)
-        else:
-            key = (0, rep.rhs, rep.config.n + rep.config.k, d)
-        if best_key is None or key < best_key:
-            best, best_key = rep, key
-    return best
+    # factors are sorted by (degree, coeffs), so index order is coeffs order
+    tie = -1 if t + s <= HIGH_INDEX_TIES_MAX_TS else 1
+    left_out = sorted(range(s), key=lambda i: (-degrees[i], tie * i))
+    reports = [
+        _evaluate_config(q, m, primes, degrees, math.prod(primes[: t - n]), tuple(sorted(left_out[k:])))
+        for n in range(t + 1)
+        for k in range(s + 1)
+    ]
+    return min(
+        (rep for rep in reports if rep.rhs is not None),
+        key=lambda rep: (rep.rhs, rep.config.n + rep.config.k, rep.config.d),
+    )
 
 
 # ---------------------------------------------------------------------------

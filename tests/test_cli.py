@@ -62,6 +62,28 @@ def test_corrupt_cache_exits_2(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == "{truncated"
 
 
+@pytest.mark.parametrize("where", ["tmp-directory", "missing-directory"])
+def test_unwritable_cache_path_is_refused_before_factoring(capsys, monkeypatch, tmp_path, where):
+    # both used to factor n and then exit 1 with a traceback from the cache write
+    import ffpn.numtheory as numtheory_mod
+
+    def no_trial_division(*args):
+        raise AssertionError("factored for a cache that cannot be written")
+
+    monkeypatch.setattr(numtheory_mod, "small_primes", no_trial_division)
+    if where == "tmp-directory":
+        path = tmp_path / "c.json"
+        (tmp_path / "c.json.tmp").mkdir()
+        want = f"error: factor cache {path}: {path}.tmp is a directory\n"
+    else:
+        path = tmp_path / "missing" / "c.json"
+        want = f"error: factor cache {path} is in no existing directory\n"
+    assert main(["--cache", str(path), "factor-int", "--n", "1000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == want
+    assert sorted(os.listdir(tmp_path)) == (["c.json.tmp"] if where == "tmp-directory" else [])
+
+
 _F81_COUNT = ("count", "--p", "3", "--m", "4", "--a", "1", "--b", "0", "--c", "1")
 
 
@@ -122,6 +144,19 @@ def test_auto_sieve_command(capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+def test_auto_sieve_has_no_budget_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["auto-sieve", "--q", "3", "--m", "3", "--budget", "5"])
+    assert exc.value.code == 2
+
+
+def test_factor_poly_9_43_exits_0(capsys):
+    # the degree-21 factors come from F_{3^42}, whose codes exceed int64
+    code, out = run_cli(capsys, "--json", "factor-poly", "--q", "9", "--m", "43")
+    assert code == 0
+    assert [f["degree"] for f in json.loads(out)["factors"]] == [1, 21, 21]
+
+
 def test_table_command(capsys):
     code, out = run_cli(capsys, "--json", "table", "--which", "1")
     rows = json.loads(out)
@@ -169,25 +204,31 @@ def test_resolve_pair_command(capsys, tmp_path):
     assert len(payload["bad_quadratics"]) == 32
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "tmp-directory"])
 def test_resolve_pair_refuses_unwritable_checkpoint_path_before_sweeping(
     capsys, monkeypatch, tmp_path, where
 ):
-    # both used to end in a traceback with exit 1, a missing directory only
-    # after the whole sweep
+    # all used to end in a traceback with exit 1, a missing directory and a
+    # directory at PATH.tmp only after the whole sweep
     import ffpn.search as search_mod
 
     def no_tables(*args):
         raise AssertionError("built sweep tables for a checkpoint that cannot be written")
 
     monkeypatch.setattr(search_mod, "_sweep_context", no_tables)
-    path = tmp_path / "missing" / "ck.json" if where == "missing-directory" else tmp_path
+    path = {
+        "missing-directory": tmp_path / "missing" / "ck.json",
+        "directory": tmp_path,
+        "tmp-directory": tmp_path / "ck.json",
+    }[where]
+    if where == "tmp-directory":
+        (tmp_path / "ck.json.tmp").mkdir()
     code = main(["--json", "--threads", "1", "resolve-pair", "--q", "3", "--m", "2",
                  "--checkpoint", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: checkpoint path ") and captured.err.count("\n") == 1
-    assert sorted(os.listdir(tmp_path)) == []
+    assert sorted(os.listdir(tmp_path)) == (["ck.json.tmp"] if where == "tmp-directory" else [])
 
 
 def test_resolve_pair_ignores_non_utf8_checkpoint(capsys, tmp_path):

@@ -53,6 +53,17 @@ def test_reconstruction_up_to_30(q):
         assert prod.pow(pf.multiplicity).coeffs == x_pow_minus_one(pf.field, m).coeffs
 
 
+def test_factor_xm1_9_43_through_an_untabled_tower_above_int64():
+    # the degree-21 factors are found in F_{3^42}, whose codes exceed 2^63
+    pf = factor_xm1(9, 43)
+    assert pf.degrees() == [1, 21, 21]
+    prod = poly_one(pf.field)
+    for f in pf.factors:
+        assert f.is_monic()
+        prod = prod * f
+    assert prod.pow(pf.multiplicity).coeffs == x_pow_minus_one(pf.field, 43).coeffs
+
+
 @pytest.mark.parametrize("q,mmax", [(3, 12), (9, 12), (27, 12)])
 def test_divisor_phi_sum(q, mmax):
     for m in range(1, mmax + 1):

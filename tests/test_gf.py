@@ -230,6 +230,19 @@ def test_subfield():
             assert t.add_codes(u, v) in sub
 
 
+def test_subfield_codes_above_int64():
+    # F_{3^42} has codes above 2^63, so its kernel span is encoded in Python ints
+    t = T(3, 42, 1, tables="off")
+    sub = t.subfield_codes(2)
+    assert t.Q > 1 << 63
+    assert len(sub) == 9 and sub == sorted(sub)
+    assert all(type(c) is int and t.pow_code(c, 9) == c for c in sub)
+    for u in sub:
+        for v in sub:
+            assert t.mul_codes(u, v) in sub
+            assert t.add_codes(u, v) in sub
+
+
 def test_element_rendering():
     t = T(3, 1, 2)
     g = find_generator(t)

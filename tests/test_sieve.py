@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from ffpn.errors import DivisibilityViolation
-from ffpn.fqpoly import factor_xm1
+from ffpn.fqpoly import factor_xm1, xm1_factor_degrees
 from ffpn import sieve
-from ffpn.numtheory import PartialFactorization, divisors_of, factorize_qm_minus_1, multiplicative_stats
+from ffpn.numtheory import FactorCache, PartialFactorization, divisors_of, factorize_qm_minus_1, multiplicative_stats
 from ffpn.sieve import (
     TABLE1,
     TABLE2,
@@ -42,10 +43,15 @@ AUDIT_PAIRS = tuple((3**r, m) for r in range(1, 7) for m in range(1, 61) if r * 
 
 
 @pytest.fixture(scope="module")
-def exact_basic():
+def audit_cache(tmp_path_factory):
+    return FactorCache(str(tmp_path_factory.mktemp("factors") / "cache.json"))
+
+
+@pytest.fixture(scope="module")
+def exact_basic(audit_cache):
     out = {}
     for q, m in AUDIT_PAIRS:
-        W = multiplicative_stats(factorize_qm_minus_1(q, m)).W
+        W = multiplicative_stats(factorize_qm_minus_1(q, m, cache=audit_cache)).W
         out[(q, m)] = (W, basic_condition(q, m))
     return out
 
@@ -246,6 +252,99 @@ def test_auto_sieve_deterministic():
     r1 = auto_sieve(3, 6)
     r2 = auto_sieve(3, 6)
     assert r1.config == r2.config and r1.rhs == r2.rhs
+
+
+# (q, m): (d, g_indices, rhs, verdict) of the best report, from the search
+# over all 2^(t+s) cores (t + s <= 16) or the prefix family (t + s > 16)
+# that auto_sieve ran before it evaluated only (t+1)(s+1) cores:
+#   r = auto_sieve(q, m); (r.config.d, r.config.g_indices, r.rhs, r.verdict)
+AUTO_SIEVE_TRUTH = {
+    (3, 10): (2, (0,), Fraction(2235372, 5807), "fail"),
+    (3, 14): (2, (0,), Fraction(19134267852, 71744611), "pass"),
+    (9, 8): (10, (0, 1), Fraction(876584256, 63175), "fail"),
+    (9, 16): (10, (5, 6, 7), Fraction(185027767160372736, 6398704171841), "pass"),
+    (9, 24): (
+        70, (4, 5, 6, 7), Fraction(21011246838575250866033664, 54652472827131560783), "pass"
+    ),
+    (9, 32): (
+        10,
+        (5, 6, 7),
+        Fraction(75814789633369354303163730029188992, 1915457207122498364702138076121),
+        "pass",
+    ),
+    (9, 40): (
+        10,
+        (2, 3, 4, 5, 6, 7),
+        Fraction(10560404242115075609436342450601935031296, 18174433455706109925625335880350869),
+        "pass",
+    ),
+    (27, 26): (
+        182,
+        (24, 25),
+        Fraction(493343715272241206128615866328016424192, 1018146942908539750440845184008023),
+        "pass",
+    ),
+}
+
+
+@pytest.mark.parametrize("q,m", list(AUTO_SIEVE_TRUTH))
+def test_auto_sieve_frozen_in_both_tie_orders(q, m):
+    rep = auto_sieve(q, m)
+    assert (rep.config.d, rep.config.g_indices, rep.rhs, rep.verdict) == AUTO_SIEVE_TRUTH[q, m]
+
+
+def test_auto_sieve_evaluates_t_plus_1_times_s_plus_1_cores(monkeypatch):
+    calls = []
+    inner = sieve._evaluate_config
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sieve, "_evaluate_config", counted)
+    auto_sieve(9, 16)
+    t = len(factorize_qm_minus_1(9, 16).primes())
+    s = len(factor_xm1(9, 16).factors)
+    assert (t, s) == (6, 12)
+    assert len(calls) == (t + 1) * (s + 1)
+
+
+def exhaustive_auto_sieve(q, m, cache=None):
+    """Reference for auto_sieve: all 2^(t+s) cores, first minimum in mask order."""
+    primes = factorize_qm_minus_1(q, m, cache=cache).primes()
+    degrees = factor_xm1(q, m).degrees()
+    best = best_key = None
+    for dmask in range(1 << len(primes)):
+        d = math.prod(p for i, p in enumerate(primes) if dmask >> i & 1)
+        for gmask in range(1 << len(degrees)):
+            gidx = tuple(i for i in range(len(degrees)) if gmask >> i & 1)
+            rep = sieve._evaluate_config(q, m, primes, degrees, d, gidx)
+            key = (rep.rhs is None, rep.rhs or 0, rep.config.n + rep.config.k, d)
+            if best_key is None or key < best_key:
+                best, best_key = rep, key
+    return best
+
+
+def audit_auto_sieve(max_ts, cache=None):
+    """AUDIT_PAIRS with t + s <= max_ts, and those whose auto_sieve report
+    differs from the exhaustive search."""
+    checked, differ = [], []
+    for q, m in AUDIT_PAIRS:
+        s = sum(cnt for _deg, cnt in xm1_factor_degrees(q, m)[2])
+        if len(factorize_qm_minus_1(q, m, cache=cache).primes()) + s > max_ts:
+            continue
+        checked.append((q, m))
+        if auto_sieve(q, m, cache=cache) != exhaustive_auto_sieve(q, m, cache):
+            differ.append((q, m))
+    return checked, differ
+
+
+def test_auto_sieve_equals_exhaustive_search(audit_cache):
+    # all t + s <= 16 pairs (150 of them) also agree, in about 20 s:
+    #   PYTHONPATH=src:tests python -c "import test_sieve as t; c, d = t.audit_auto_sieve(16); print(len(c), d)"
+    checked, differ = audit_auto_sieve(10, audit_cache)
+    assert len(checked) == 90 and (9, 43) in checked
+    assert differ == []
 
 
 def test_reproduce_table1_flags():

@@ -15,8 +15,8 @@ Each run also records src_lines and src_sha256 from the `env {...}` line
 that perfbench/run.py prints, and "src" holds them per side, so the line
 count of src/ stands next to the numbers.  After the benchmark runs, each
 side's Tier-1 suite (`python -m pytest -q --continue-on-collection-errors`
-on its own src/) runs once, and "src" holds its passed and failed counts
-and its wall seconds under "tier1".
+on its own src/) runs once, and "src" holds its passed, failed and error
+counts and its wall seconds under "tier1".
 Exits 1 if any run reports "correct": false or produces no result.
 """
 
@@ -75,7 +75,7 @@ def bench_once(tree, workload, seed, seconds):
 
 
 def tier1(tree):
-    """Run tree's Tier-1 suite once: its passed and failed counts and wall seconds."""
+    """Run tree's Tier-1 suite once: its passed, failed and error counts and wall seconds."""
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -85,8 +85,14 @@ def tier1(tree):
     )
     seconds = round(time.monotonic() - start, 2)
     summary = (proc.stdout.strip().splitlines() or [""])[-1]
-    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed)", summary)}
-    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0), "seconds": seconds}
+    # pytest says "1 error" but "2 errors"
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)s?\b", summary)}
+    return {
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0),
+        "errors": counts.get("error", 0),
+        "seconds": seconds,
+    }
 
 
 def quartiles(values):
