@@ -8,12 +8,14 @@ canonical psi_0 is delta = 1 (the prime-field character lifted through the
 absolute trace).
 
 Every character is a cached table over all Q codes, so a sum is one numpy
-product of table rows.  Sums accumulate through math.fsum on the real and
-imaginary parts, which is correctly rounded: the result depends only on
-the terms, not on their order or grouping.  That is what lets weil_audit
-batch its work (each quadratic evaluated once, all of an f-block's terms
-formed in one product per character triple, one fsum per row) and still
-return exactly the floats of one char_sum per (triple, f).
+product of table rows.  char_sum accumulates through math.fsum on the real
+and imaginary parts, which is correctly rounded: the result depends only on
+the terms, not on their order or grouping.  weil_audit batches its work
+(each quadratic evaluated once, all of an f-block's terms formed in one
+product per character triple, every row summed by numpy) and fsums again
+only the few rows that a proven bound on numpy's rounding error cannot
+rule out of the result, so it still returns exactly the floats of one
+char_sum per (triple, f).
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from .numtheory import divisors_of, factorize, moebius, multiplicative_stats
 
 ENUM_BUDGET = 3**10
 _WEIL_BLOCK_TERMS = 1 << 18  # f rows x Q terms per batched block of the Weil audit
-# smaller audits run in-process: on 2 vCPUs a 2-worker pool first pays off
-# near 6e5 terms (F81, 10 quadratics: 0.129 s alone, 0.121 s on 2 workers)
-_WEIL_POOL_MIN_TERMS = 1 << 19
+# smaller audits run in-process: on 2 vCPUs a 2-worker pool broke even near
+# 1.1e7 terms (F729 as F_9^3, 15 quadratics: 0.053 s alone, 0.055 s on 2
+# workers) and won at 1.5e7 (F729 as F_3^6, 5 quadratics: 0.106 s, 0.087 s)
+_WEIL_POOL_MIN_TERMS = 12_000_000
 
 _roots_cache = {}
 
@@ -377,7 +380,34 @@ def _weil_chunk(args):
     """Worker: audit one slice of order triples against a shared f list.
 
     Batched as weil_audit describes, over blocks of at most
-    _WEIL_BLOCK_TERMS // Q quadratics.
+    _WEIL_BLOCK_TERMS // Q quadratics: numpy sums every row, and only the
+    rows whose margin could be the smallest or negative are summed again
+    by char_sum, whose floats the result carries.
+
+    Why that is exact.  Let u = 2^-53 and n = Q, 2 <= n <= ENUM_BUDGET,
+    so nu < 2^-37.  Every table entry is 0, 1 or a rounded (cos, sin)
+    pair, of modulus at most 1 + 2u, and a term is a product of three
+    entries through two complex multiplies (relative error at most
+    sqrt(5) u each, fused or not), so in either route each component of a
+    term is at most 1 + 12u in modulus and within 5u of the exact
+    product's.  A sum of n such components in any order of n - 1
+    additions, numpy's pairwise order included, is within
+    gamma_(n-1) n (1 + 12u) + 5nu <= 1.0001 (n^2 - n) u + 5nu of the exact
+    sum; fsum, correctly rounded, is within 6.0001 nu; each hypot adds at
+    most 1 ulp of |S| <= 1.5n.  So numpy's |S| and char_sum's differ by
+    at most sqrt(2) (1.0001) (n^2 + 11n) u + 6nu <= 13 n^2 u.  A margin is
+    fl(c - |S|) with c = fl(bound + tol) the same float in both routes, and
+    its rounding adds at most 2u (|c| + 1.5n), so the two margins of one
+    row differ by at most D = 16 u (n^2 + |c|).  Let m' be numpy's
+    margins.  char_sum's smallest margin is at most min m' + D, so a row
+    with m' > min m' + 2D has a margin strictly above the smallest and is
+    neither the worst row nor tied with it, and a row with m' >= D has a
+    margin >= 0 and is no violation.  Every other row is a candidate.  The
+    candidates, folded in (live triple, f) order with the strict < of the
+    per-sum loop, give its worst row (its tie winner included) and its
+    violations in order.  The code doubles D, which absorbs the rounding
+    of the thresholds themselves, and a tol that is not finite makes every
+    row a candidate.
     """
     p, r, m, triples, fs, tol = args
     t = gf.build_extension(p, r, m)
@@ -390,40 +420,46 @@ def _weil_chunk(args):
         delta = representative_psi(t, hi).delta
         if d1 > 1 or d2 > 1 or delta:
             live.append((d1, d2, hi, delta))
-    sums = [[] for _ in live]  # |S| per live triple, in f order
+    if not live or not fs:
+        return None, [], 0
+    sums = np.empty((len(live), len(fs)))  # numpy |S| per live triple, in f order
     rows = max(1, _WEIL_BLOCK_TERMS // t.Q)
     for lo in range(0, len(fs), rows):
         fv = np.stack([t.quad_values(*t.quad_codes(f)) for f in fs[lo : lo + rows]])
         pair = prod = None
-        for row, (d1, d2, _hi, delta) in zip(sums, live):
+        for li, (d1, d2, _hi, delta) in enumerate(live):
             if pair != (d1, d2):
                 pair = (d1, d2)
                 chi1 = ctx.mult_table(d1, 1 if d1 > 1 else 0)
                 prod = chi1 * ctx.mult_table(d2, 1 if d2 > 1 else 0)[fv]
-            terms = prod * ctx.add_table(delta)
-            for re, im in zip(terms.real.tolist(), terms.imag.tolist()):
-                row.append(abs(complex(math.fsum(re), math.fsum(im))))
+            sums[li, lo : lo + rows] = np.abs((prod * ctx.add_table(delta)).sum(axis=1))
+    limits = np.array([(bound3 if delta else bound2) + tol for *_, delta in live])
+    margins = limits[:, None] - sums
+    slack = 32 * 2.0**-53 * (t.Q**2 + float(np.abs(limits).max()))
+    cut = float(margins.min()) + 2 * slack  # inf or NaN if tol is not finite
     worst = None
     violations = []
-    checked = 0
-    for row, (d1, d2, hi, delta) in zip(sums, live):
+    for li, i in zip(*np.nonzero(~((margins > cut) & (margins >= slack)))):
+        d1, d2, hi, delta = live[li]
+        f = fs[i]
+        chi1 = MultCharacter(t, d1, 1 if d1 > 1 else 0)
+        chi2 = MultCharacter(t, d2, 1 if d2 > 1 else 0)
+        s = abs(char_sum(chi1, chi2, AddCharacter(t, delta), f))
         bound = bound3 if delta else bound2
-        for f, s in zip(fs, row):
-            margin = bound + tol - s
-            checked += 1
-            if worst is None or margin < worst["margin"]:
-                worst = {
-                    "d1": d1,
-                    "d2": d2,
-                    "h": divs[hi][0].render(),
-                    "f": list(f),
-                    "abs_S": s,
-                    "bound": bound,
-                    "margin": margin,
-                }
-            if margin < 0:
-                violations.append((d1, d2, hi, f, s, bound))
-    return worst, violations, checked
+        margin = bound + tol - s
+        if worst is None or margin < worst["margin"]:
+            worst = {
+                "d1": d1,
+                "d2": d2,
+                "h": divs[hi][0].render(),
+                "f": list(f),
+                "abs_S": s,
+                "bound": bound,
+                "margin": margin,
+            }
+        if margin < 0:
+            violations.append((d1, d2, hi, f, s, bound))
+    return worst, violations, sums.size
 
 
 def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
@@ -435,11 +471,12 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
     The sums are batched, not computed one char_sum at a time: each worker
     evaluates every quadratic once, into an (F, Q) code matrix per block of
     f, and per (d1, d2) forms chi1(alpha) chi2(f(alpha)) for the whole block
-    in one product, then multiplies in each psi and fsums every row.  Each
-    term is the same float as in char_sum (the same products in the same
-    order) and fsum is correctly rounded, so abs_S, margins, the worst row
-    and the violations equal those of one char_sum per (triple, f), bit
-    for bit.
+    in one product, then multiplies in each psi and sums every row in
+    numpy.  Numpy's |S| is within 13 Q^2 2^-53 of char_sum's, so only the
+    rows whose margin lies that close to the smallest margin or to 0 go
+    through char_sum (_weil_chunk gives the proof); abs_S, margins, the
+    worst row and the violations equal those of one char_sum per
+    (triple, f), bit for bit.
     Worker processes split the triple list; the merge is order-independent
     because each sum is evaluated identically in any partition.  Audits of
     fewer than _WEIL_POOL_MIN_TERMS terms run in-process whatever threads

@@ -488,7 +488,8 @@ def resolve_pair(
     not an error.  Fields above SWEEP_FIELD_LIMIT raise SizeBudgetExceeded
     before any sweeping, and a checkpoint_path that is a directory, whose
     PATH.tmp (written before each replace) is a directory, or that is in no
-    existing directory raises ValueError before any table is built.
+    existing directory or in one this process may not write raises
+    ValueError before any table is built.
 
     Only the leading blocks' witness samples reach the report, so those
     blocks sweep in-process, one kernel call each, until witness_samples are
@@ -503,8 +504,11 @@ def resolve_pair(
         for path in (checkpoint_path, checkpoint_path + ".tmp"):
             if os.path.isdir(path):
                 raise ValueError(f"checkpoint path {checkpoint_path}: {path} is a directory")
-        if not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
+        folder = os.path.dirname(checkpoint_path) or "."
+        if not os.path.isdir(folder):
             raise ValueError(f"checkpoint path {checkpoint_path} is in no existing directory")
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise ValueError(f"checkpoint path {checkpoint_path} is in a read-only directory")
     # tables are built before forking so workers inherit them
     ctx = _sweep_context(p, r, m)
     tower = ctx.tower

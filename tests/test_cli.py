@@ -204,12 +204,14 @@ def test_resolve_pair_command(capsys, tmp_path):
     assert len(payload["bad_quadratics"]) == 32
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory", "tmp-directory"])
+@pytest.mark.parametrize(
+    "where", ["missing-directory", "directory", "tmp-directory", "read-only-directory"]
+)
 def test_resolve_pair_refuses_unwritable_checkpoint_path_before_sweeping(
     capsys, monkeypatch, tmp_path, where
 ):
-    # all used to end in a traceback with exit 1, a missing directory and a
-    # directory at PATH.tmp only after the whole sweep
+    # all used to end in a traceback with exit 1, a missing or read-only
+    # directory and a directory at PATH.tmp only after the whole sweep
     import ffpn.search as search_mod
 
     def no_tables(*args):
@@ -220,9 +222,16 @@ def test_resolve_pair_refuses_unwritable_checkpoint_path_before_sweeping(
         "missing-directory": tmp_path / "missing" / "ck.json",
         "directory": tmp_path,
         "tmp-directory": tmp_path / "ck.json",
+        "read-only-directory": tmp_path / "ck.json",
     }[where]
     if where == "tmp-directory":
         (tmp_path / "ck.json.tmp").mkdir()
+    if where == "read-only-directory":
+        # root may write anywhere, so the directory is made read-only by decree
+        access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda p, *a, **k: os.fspath(p) != str(tmp_path) and access(p, *a, **k)
+        )
     code = main(["--json", "--threads", "1", "resolve-pair", "--q", "3", "--m", "2",
                  "--checkpoint", str(path)])
     captured = capsys.readouterr()
