@@ -8,10 +8,10 @@ generator are the lexicographically smallest valid choices (coefficient
 vectors compared as base-p integers), so every run of every build picks the
 same structures.
 
-Log/antilog tables (int64 exp[k] = g^k and its inverse log) are built
-eagerly for fields up to 2^24 elements, a block of powers of g at a time by
-one F_p-matrix product (FieldTower._build_tables): about N n^2 multiply-adds
-in numpy, 0.027 s for 3^11 on a 2-vCPU Xeon VM.  Towers of one field with
+Log/antilog tables (exp[k] = g^k and its inverse log) are built eagerly for
+fields up to 2^24 elements, a block of powers of g at a time by one
+F_p-matrix product (FieldTower._build_tables): about N n^2 multiply-adds in
+numpy, 0.027 s for 3^11 on a 2-vCPU Xeon VM.  Towers of one field with
 different splits n = r*m (F_{3^10} as (9,5) and (243,2)) share one set of
 tables through build_extension.  Above 2^24, discrete logs fall back to
 baby-step giant-step up to 2^40.
@@ -21,6 +21,13 @@ log(1 + g^k) (-1 where 1 + g^k = 0), so that g^i + g^j = g^(i + zech[j - i])
 is a lookup.  Bulk field arithmetic has one route, FieldTower.quad_values:
 a x^2 + b x + c at every code x, summed in logs (b x and b x + c when
 a = 0).  The scalar *_code methods are the independent reference.
+
+Every code and log of a tabled field is below 2^24, so exp, log and the
+Zech table are int32 (12 bytes per element in all).  Readers form no
+product of two logs and no sum past 2^31 in int32: scalar reads go through
+int(), and quad_values and the sweep kernel widen logs to int64 before
+their index arithmetic.  kernel_codes enumerates spans as uint8 digit rows
+while p < 256.
 """
 
 from __future__ import annotations
@@ -403,6 +410,8 @@ class FieldTower:
     def _build_tables(self):
         """Fill exp[k] = code of g^k (k < N) and its inverse log (log[0] = -1).
 
+        Both are int32: every code and log is below Q <= TABLE_LIMIT = 2^24.
+
         Powers of g are computed _TABLE_BLOCK at a time as a (B, n) matrix
         of base-p digit rows.  With M(h) the n x n F_p matrix of
         multiplication by h, the first block doubles up from g^0 as
@@ -432,15 +441,15 @@ class FieldTower:
             block[L : L + step] = block[:step] @ times(gL) % p
             L, gL = L + step, self.mul_codes(gL, gL)
         pw = np.array(self._pw[:n], dtype=np.int64)
-        exp = np.empty(N, dtype=np.int64)
-        log = np.full(self.Q, -1, dtype=np.int64)
+        exp = np.empty(N, dtype=np.int32)
+        log = np.full(self.Q, -1, dtype=np.int32)
         step_B = times(self.pow_code(g, B))
         for lo in range(0, N, B):
             if lo:
                 block = block @ step_B % p
             hi = min(lo + B, N)
-            np.dot(block[: hi - lo], pw, out=exp[lo:hi])
-            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int64)
+            exp[lo:hi] = block[: hi - lo] @ pw
+            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         if self.mul_codes(int(exp[-1]), g) != 1 or (log[1:] < 0).any():
             raise ArithmeticError(f"generator code {g} is not primitive in F_{self.Q}")
         self.exp = exp
@@ -508,8 +517,10 @@ class FieldTower:
         if not self.has_tables:
             raise SizeBudgetExceeded("the Zech table needs log tables")
         if self._zech is None:
-            d0 = self.exp % self.p
-            self._zech = self.log[self.exp - d0 + (d0 + 1) % self.p]
+            # 1 + u adds 1 to the lowest digit, or takes p - 1 off it when it is p - 1
+            p, idx = self.p, self.exp + 1
+            np.subtract(idx, p, out=idx, where=self.exp % p == p - 1)
+            self._zech = self.log[idx]
         return self._zech
 
     def quad_values(self, a, b, c):
@@ -519,7 +530,10 @@ class FieldTower:
         carried as a log, -1 for 0: a alpha^2 + b alpha has log
         la + 2k + zech[lb - la - k], and adding c adds zech[lc - L] to that
         log L (all mod N).  The first zech index runs down through k, so it
-        is a reversed slice, not a gather.  alpha = 0 gives c.
+        is a reversed slice, not a gather.  alpha = 0 gives c.  The logs
+        are int64 (numpy's index type, the fast gather) and updated in
+        place, and each temporary is dropped once dead: about 13 bytes per
+        element beside the int64 result.
         """
         N, zech = self.N, self.zech_table()
         la, lb, lc = (int(self.log[x]) for x in (a, b, c))
@@ -533,18 +547,24 @@ class FieldTower:
             z = np.concatenate((zech[d::-1], zech[:d:-1]))  # zech[(d - k) mod N]
             L += z
             zero = z < 0
+            del z
         L %= N
         if c:
-            z = zech[lc - L]  # index in (lc - N, lc]: negative ones wrap mod N
+            np.subtract(lc, L, out=L)  # in (lc - N, lc]: negative indices wrap mod N
+            z = zech[L]
+            np.subtract(lc, L, out=L)
             L += z
             L %= N
             L[z < 0] = -1
+            del z
             if zero is not None:
                 L[zero] = lc
         elif zero is not None:
             L[zero] = -1
+        del zero
         vals = self.exp[L]
         vals[L < 0] = 0
+        del L
         out = np.empty(self.Q, dtype=np.int64)
         out[0] = c
         out[self.exp] = vals
@@ -562,15 +582,28 @@ class FieldTower:
 
         v is a column of base-p digits; the kernel's span is enumerated as
         digit rows, so this costs O(#kernel n) and needs no log tables.
-        Codes are int64 while Q <= 2^63 and Python ints above.
+        Digit rows are uint8 while p < 256 (int64 above) and are encoded
+        into the codes by Horner's rule in place, so nothing wider than one
+        code per row is held beside them.  Codes are int64 while Q <= 2^63
+        and Python ints above.
         """
         p, n = self.p, self.n
-        span = np.zeros((1, n), dtype=np.int64)
+        digit = np.uint8 if p < 256 else np.int64
+        span = np.zeros((1, n), dtype=digit)
         for vec in _kernel_mod_p(mat, p):
-            steps = np.arange(p, dtype=np.int64)[:, None, None] * np.array(vec)
-            span = ((span + steps) % p).reshape(-1, n)
-        dtype = np.int64 if self.Q <= 1 << 63 else object
-        return np.sort(span.astype(dtype) @ np.array(self._pw[:n], dtype=dtype))
+            steps = (np.arange(p)[:, None, None] * np.array(vec) % p).astype(digit)
+            # (span + steps) mod p: the digit sum passes p exactly where
+            # span >= p - steps, and subtracting p there is exact even after
+            # a uint8 sum wrapped, since the reduced digit fits
+            new = span + steps
+            np.subtract(new, p, out=new, where=span >= p - steps)
+            span = new.reshape(-1, n)
+        codes = np.zeros(len(span), dtype=np.int64 if self.Q <= 1 << 63 else object)
+        for i in range(n - 1, -1, -1):
+            codes *= p
+            codes += span[:, i]
+        codes.sort()
+        return codes
 
     def subfield_codes(self, degree=None):
         """Codes of the subfield of p^degree elements, ascending.

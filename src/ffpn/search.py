@@ -41,6 +41,11 @@ SWEEP_BATCH = 2  # blocks swept as one batch of rows: shares each round's fixed 
 SWEEP_RUNS_PER_WORKER = 4  # contiguous block runs handed to each pool worker
 # plain-scan probes; the largest fields under SWEEP_FIELD_LIMIT, (3,7) and (2187,1), need 2.09e10
 RESOLVE_BUDGET = 10**11
+# cover rows of this many words or more popcount in one reduce, not word by
+# word: through _sweep_kernel the loop wins at 6 and 8 words (F_{13^3}, F_{2^9})
+# and the reduce from 9 (F_563: 0.08 s against 0.12 s) to 35 (F_{3^7}: 0.17 s
+# against 0.23 s), 2 vCPUs
+SWEEP_WIDE_WORDS = 9
 SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in-process: a pool costs more than them
 # checkpoints from another kernel count sweep positions in other units
 SWEEP_KERNEL = "radical-residue-1"
@@ -82,28 +87,33 @@ class SearchContext:
         self.tp = fqpoly.tower_poly(tower)
         Q = tower.Q
         self.primes = tower.n_factorization().primes()
-        dlog = tower.log
+        # N < 2^24 has at most 8 primes: the first nine multiply to 223,092,870
+        assert len(self.primes) <= 8, "free_bits holds one bit per prime of N in a uint8"
         # bit i set <=> code is p_i-free (its dlog is not divisible by p_i)
-        fb = np.zeros(Q, dtype=np.int64)
+        fb = np.zeros(Q, dtype=np.uint8)
         for i, p in enumerate(self.primes):
-            fb |= ((dlog % p) != 0).astype(np.int64) << i
+            fb |= (tower.log % p != 0).view(np.uint8) << i
         fb[0] = 0
         self.free_bits = fb
         self.all_prime_mask = (1 << len(self.primes)) - 1
         # bit j set <=> ((x^m - 1)/h_j) o alpha != 0, i.e. alpha is off that
-        # map's kernel, the multiples of h_j (q^(m - deg h_j) of the Q codes)
-        self.all_g_mask = (1 << len(self.tp.pf.factors)) - 1
-        gb = np.full(Q, self.all_g_mask, dtype=np.int64)
+        # map's kernel, the multiples of h_j (q^(m - deg h_j) of the Q codes);
+        # x^m - 1 has at most m <= n <= 24 distinct factors
+        nfactors = len(self.tp.pf.factors)
+        assert nfactors <= 24, "g_bits holds one bit per factor of x^m - 1"
+        self.all_g_mask = (1 << nfactors) - 1
+        gb = np.full(Q, self.all_g_mask, dtype=np.min_scalar_type(self.all_g_mask))
         for j, mat in enumerate(self.tp.quotient_matrices()):
-            gb[tower.kernel_codes(mat)] &= ~(1 << j)
+            gb[tower.kernel_codes(mat)] &= self.all_g_mask ^ (1 << j)
         self.g_bits = gb
-        self.prim_mask = (fb & self.all_prime_mask) == self.all_prime_mask
+        self.prim_mask = fb == self.all_prime_mask
         self.prim_mask[0] = False
-        self.normal_mask = (gb & self.all_g_mask) == self.all_g_mask
+        self.normal_mask = gb == self.all_g_mask
         # exp lists the nonzero codes in discrete-log order already
         self.pn_codes = tower.exp[(self.prim_mask & self.normal_mask)[tower.exp]]
         self.rad = math.prod(self.primes)
         self._pair_tables = None
+        self._g_masks = {}
 
     def prime_mask_of(self, e):
         if e < 1 or self.tower.N % e != 0:
@@ -111,7 +121,23 @@ class SearchContext:
         return sum(1 << i for i, p in enumerate(self.primes) if e % p == 0)
 
     def g_mask_of(self, g):
-        return sum(1 << j for j in self.tp.pf.factor_subset_of(g))
+        """Bit j set <=> factor j of x^m - 1 is in the divisor spec g.
+
+        Memoized per spec by value, a list as its tuple; a spec of another
+        type or one that does not hash is evaluated every time, and a spec
+        that raises is never stored.
+        """
+        key = tuple(g) if isinstance(g, list) else g
+        try:
+            return self._g_masks[key]
+        except KeyError:
+            by_value = isinstance(key, (type(None), int, str, tuple, fqpoly.FqPolynomial))
+        except TypeError:  # unhashable
+            by_value = False
+        mask = sum(1 << j for j in self.tp.pf.factor_subset_of(key))
+        if by_value:
+            self._g_masks[key] = mask
+        return mask
 
     def pair_tables(self):
         """(zx, rows): the sweep kernel's log-indexed tables, O(N) entries each.
@@ -313,8 +339,9 @@ def _u_logs(tower, ka, bvals):
 
     b' is held as its log + N, or 3N for 0.  lu is 2 ka for b' = 0, else
     2 ka + zech[log b' - ka] mod N, and -3N where that zech is -1 (u = 0).
+    lu is int64, as all of the kernel's index arithmetic, whatever ka's dtype.
     """
-    N, ka = tower.N, ka[:, None]
+    N, ka = tower.N, ka.astype(np.int64)[:, None]
     z = tower.zech_table()[(bvals - N - ka) % N]
     lu = np.where(z < 0, -3 * N, (2 * ka + z) % N)
     lu[:, bvals == 3 * N] = 2 * ka % N
@@ -383,9 +410,12 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples=0):
         L += lui
         new = rows.take(L, axis=0, out=spare, mode="clip")  # clip: unbuffered, L >= 2N empty
         new |= cover
-        covered = np.bitwise_count(new[:, 0]).astype(np.int16)
-        for w in range(1, words):
-            covered += np.bitwise_count(new[:, w])
+        if words >= SWEEP_WIDE_WORDS:
+            covered = np.add.reduce(np.bitwise_count(new), axis=1, dtype=np.int16)
+        else:
+            covered = np.bitwise_count(new[:, 0]).astype(np.int16)
+            for w in range(1, words):
+                covered += np.bitwise_count(new[:, w])
         unc = rad - covered
         if len(samples) < want_samples and (grew := unc < uncovered).any():
             # the first residue x newly witnessed; a = exp[x] has dlog x

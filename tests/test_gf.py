@@ -230,17 +230,29 @@ def test_subfield():
             assert t.add_codes(u, v) in sub
 
 
+@pytest.mark.parametrize("p", [131, 251])
+def test_kernel_codes_when_uint8_digit_sums_wrap(p):
+    # the kernel of x0 + x1 + x2 over F_p has basis (p-1, 1, 0), (p-1, 0, 1):
+    # both hit digit 0, where uint8 sums of two digits pass 255
+    t = T(p, 1, 3, tables="off")
+    d2, d1 = np.divmod(np.arange(p * p), p)
+    want = np.sort((-d1 - d2) % p + d1 * p + d2 * p * p)
+    assert t.kernel_codes(np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]])).tolist() == want.tolist()
+
+
 def test_subfield_codes_above_int64():
-    # F_{3^42} has codes above 2^63, so its kernel span is encoded in Python ints
-    t = T(3, 42, 1, tables="off")
-    sub = t.subfield_codes(2)
-    assert t.Q > 1 << 63
-    assert len(sub) == 9 and sub == sorted(sub)
-    assert all(type(c) is int and t.pow_code(c, 9) == c for c in sub)
-    for u in sub:
-        for v in sub:
-            assert t.mul_codes(u, v) in sub
-            assert t.add_codes(u, v) in sub
+    # F_{3^42} and F_{9^43} have codes above 2^63, so the kernel span is
+    # encoded in Python ints
+    for r, m in ((42, 1), (2, 43)):
+        t = T(3, r, m, tables="off")
+        sub = t.subfield_codes(2)
+        assert t.Q > 1 << 63
+        assert len(sub) == 9 and sub == sorted(sub)
+        assert all(type(c) is int and t.pow_code(c, 9) == c for c in sub)
+        for u in sub:
+            for v in sub:
+                assert t.mul_codes(u, v) in sub
+                assert t.add_codes(u, v) in sub
 
 
 def test_element_rendering():
@@ -290,9 +302,10 @@ def _scalar_chain(p, r, m):
 
 
 def _assert_same_tables(t, exp, log):
-    assert t.exp.dtype == np.int64 and t.log.dtype == np.int64
-    assert t.exp.tobytes() == exp.tobytes()
-    assert t.log.tobytes() == log.tobytes()
+    # codes and logs are below Q <= 2^24, so the tables are int32
+    assert t.exp.dtype == np.int32 and t.log.dtype == np.int32
+    assert t.exp.tolist() == exp.tolist()
+    assert t.log.tolist() == log.tolist()
 
 
 @pytest.mark.parametrize(
@@ -416,7 +429,8 @@ def test_vectorized_products_refuse_untabled_tower():
         t.quad_values(1, 0, 0)
 
 
-@pytest.mark.parametrize("p,r,m", [(3, 1, 6), (2, 1, 8), (5, 1, 3), (3, 2, 3)])
+# p = 257 enumerates int64 digit rows, the others uint8 rows
+@pytest.mark.parametrize("p,r,m", [(3, 1, 6), (2, 1, 8), (5, 1, 3), (3, 2, 3), (257, 1, 2)])
 def test_kernel_codes_is_the_kernel(p, r, m):
     t = T(p, r, m)
     for k in range(1, 4):

@@ -4,17 +4,21 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ffpn.search as search_mod
+from ffpn import gf
 from ffpn.chars import char_context, freeness_indicator
 from ffpn.errors import SizeBudgetExceeded
-from ffpn.fqpoly import FqPolynomial, factor_xm1, is_g_free, poly_stats, tower_poly
-from ffpn.gf import build_extension
-from ffpn.numtheory import divisors_of, factorize, multiplicative_stats
+from ffpn.fqpoly import (
+    FqPolynomial, factor_xm1, is_g_free, poly_stats, tower_poly, xm1_factor_degrees,
+)
+from ffpn.gf import TABLE_LIMIT, build_extension
+from ffpn.numtheory import divisors_of, factorize, is_prime, multiplicative_stats
 from ffpn.sieve import sieve_report
 from ffpn.search import (
     QuadraticSpec,
@@ -511,7 +515,10 @@ def test_context_masks_equal_digit_matrix_reference(p, r, m):
     gb = np.zeros(t.Q, dtype=np.int64)
     for j, mat in enumerate(ctx.tp.quotient_matrices()):
         gb |= (digits @ mat.T % p).any(axis=1).astype(np.int64) << j
-    assert ctx.g_bits.dtype == np.int64 and ctx.g_bits.tobytes() == gb.tobytes()
+    assert ctx.g_bits.dtype == np.min_scalar_type(ctx.all_g_mask)
+    assert ctx.g_bits.tolist() == gb.tolist()
+    fb = [0] + [sum(1 << i for i, l in enumerate(ctx.primes) if t.log[x] % l) for x in range(1, t.Q)]
+    assert ctx.free_bits.dtype == np.uint8 and ctx.free_bits.tolist() == fb
     normal = [x for x in range(t.Q) if gb[x] == ctx.all_g_mask]
     assert ctx.normal_mask.tolist() == [gb[x] == ctx.all_g_mask for x in range(t.Q)]
     pn = sorted((x for x in normal if ctx.prim_mask[x]), key=lambda x: t.log[x])
@@ -525,8 +532,8 @@ def test_pn_codes_equal_argsort_construction(p, r, m):
     t = build_extension(p, r, m)
     ctx = search_context(t)
     pn = np.nonzero(ctx.prim_mask & ctx.normal_mask)[0]
-    want = pn[np.argsort(t.log[pn], kind="stable")].astype(np.int64)
-    assert ctx.pn_codes.dtype == np.int64
+    want = pn[np.argsort(t.log[pn], kind="stable")]
+    assert ctx.pn_codes.dtype == np.int32
     assert ctx.pn_codes.tolist() == want.tolist()
 
 
@@ -623,3 +630,82 @@ def test_exact_count_refuses_what_find_witness_refuses(f):
         exact_count(t, f, 1, t.N, 1)
     with pytest.raises(ValueError):
         verify_sieve_inequality(t, f, 10, "all")
+
+
+def test_context_mask_bounds_hold_on_every_tabled_field():
+    # SearchContext asserts that N = Q - 1 has at most 8 primes (free_bits is
+    # uint8) and x^m - 1 at most 24 distinct factors (g_bits is at most
+    # uint32) for every Q <= TABLE_LIMIT.  For a prime field N < 2^24 is below
+    # the product of the first nine primes, and x - 1 is one factor.
+    assert math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23]) > TABLE_LIMIT
+    most_primes = most_factors = 0
+    for p in filter(is_prime, range(2, math.isqrt(TABLE_LIMIT) + 1)):
+        n = 2
+        while p**n <= TABLE_LIMIT:
+            most_primes = max(most_primes, len(factorize(p**n - 1).primes()))
+            for m in divisors_of(n):
+                degrees = xm1_factor_degrees(p ** (n // m), m)[2]
+                most_factors = max(most_factors, sum(count for _deg, count in degrees))
+            n += 1
+    assert most_primes <= 8 and most_factors <= 24
+
+
+def test_context_and_count_hold_no_wide_temporaries(monkeypatch):
+    # numpy reports its buffers to tracemalloc, so the peaks are exact.  On a
+    # fresh F_{3^11}, building the context may allocate what it keeps plus 8
+    # bytes per element (it takes 5.4), and the first exact count the Zech
+    # table it keeps plus 20 (it takes 14, 8 of them the int64 values of f).
+    # int64 digit rows and masks take 64 and 33, so either comes back as a failure.
+    monkeypatch.setattr(gf, "_tower_cache", {})
+    t = build_extension(3, 1, 11)
+    tracemalloc.start()
+    try:
+        ctx = search_context(t)
+        held = sum(
+            a.nbytes for a in (ctx.free_bits, ctx.g_bits, ctx.prim_mask, ctx.normal_mask, ctx.pn_codes)
+        )
+        assert tracemalloc.get_traced_memory()[1] <= held + 8 * t.Q
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        exact_count(t, (1, 1, 2), t.N, t.N, "all")
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= t.zech_table().nbytes + 20 * t.Q
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p,r,m,ib1", [(3, 1, 4, 81), (2, 1, 8, 256), (5, 1, 4, 32)])
+def test_wide_row_popcount_equals_word_loop(monkeypatch, p, r, m, ib1):
+    # rad(N) = 10, 255, 78: cover rows of 1, 4 and 2 words
+    ctx = search_mod._sweep_context(p, r, m)
+    runs = []
+    for wide in (10**9, 1):
+        monkeypatch.setattr(search_mod, "SWEEP_WIDE_WORDS", wide)
+        runs.append(search_mod._sweep_kernel(ctx, 0, ib1, want_samples=5))
+    assert runs[0] == runs[1]
+
+
+def test_g_mask_of_memoizes_by_value_and_stores_no_refusal(monkeypatch):
+    t = build_extension(3, 1, 4)
+    ctx = search_mod.SearchContext(t)  # its own, empty memo
+    pf = ctx.tp.pf
+    real = type(pf).factor_subset_of
+    calls = []
+
+    def counted(self, g):
+        calls.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(type(pf), "factor_subset_of", counted)
+    x2p1 = (1, 0, 1)  # x^2 + 1, factor 2 of x^4 - 1
+    specs = ["all", 1, None, [0, 2], (0, 2), FqPolynomial(pf.field, x2p1), FqPolynomial(pf.field, x2p1)]
+    want = [sum(1 << j for j in real(pf, g)) for g in specs]
+    assert [ctx.g_mask_of(g) for g in specs + specs] == want + want
+    # [0, 2] and (0, 2) are one key, and so are the two equal polynomials
+    assert len(calls) == 5
+    # a refusal is raised every time; an iterator is evaluated every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ctx.g_mask_of([3])
+        assert ctx.g_mask_of(iter([0, 2])) == want[3]
+    assert len(calls) == 9 and (3,) not in ctx._g_masks
