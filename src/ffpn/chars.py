@@ -15,7 +15,8 @@ the terms, not on their order or grouping.  weil_audit batches its work
 product per character triple, every row summed by numpy) and fsums again
 only the few rows that a proven bound on numpy's rounding error cannot
 rule out of the result, so it still returns exactly the floats of one
-char_sum per (triple, f).
+char_sum per (triple, f).  It draws admissible quadratics: a != 0 and
+b^2 != 4ac, 4 read in F_p (b^2 != ac in char 3, b != 0 in char 2).
 """
 
 from __future__ import annotations
@@ -365,13 +366,13 @@ def representative_psi(tower, divisor_index) -> AddCharacter:
 
 
 def random_admissible_quadratics(tower, count, rng):
-    """(a, b, c) code triples with a != 0 and b^2 != a*c."""
+    """Admissible (a, b, c) code triples: a != 0 and b^2 != 4ac (FieldTower.admissible)."""
     out = []
     while len(out) < count:
         a = rng.randrange(1, tower.Q)
         b = rng.randrange(tower.Q)
         c = rng.randrange(tower.Q)
-        if tower.mul_codes(b, b) != tower.mul_codes(a, c):
+        if tower.admissible(a, b, c):
             out.append((a, b, c))
     return out
 

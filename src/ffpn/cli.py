@@ -255,6 +255,8 @@ def cmd_resolve_pair(args):
 
 
 def cmd_char_audit(args):
+    if args.quadratics < 1:
+        raise ValueError(f"--quadratics must be at least 1, not {args.quadratics}")
     t = _tower(args)
     ortho = chars.orthogonality_audit(t)
     audit = chars.weil_audit(t, quadratics=args.quadratics, seed=args.seed, threads=args.threads or 1)

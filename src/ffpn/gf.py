@@ -508,6 +508,12 @@ class FieldTower:
             return tuple(self.coerce(x) for x in f)
         return f.a.code, f.b.code, f.c.code
 
+    def admissible(self, a, b, c):
+        """a x^2 + b x + c is not a (x + h)^2: a != 0 and b^2 != 4ac, 4 in F_p.
+
+        That is b^2 != ac in characteristic 3 and b != 0 in characteristic 2."""
+        return a != 0 and self.mul_codes(b, b) != self.mul_codes(4 % self.p, self.mul_codes(a, c))
+
     def zech_table(self):
         """zech[k] = log(1 + g^k) for k < N, -1 where 1 + g^k = 0 (cached).
 

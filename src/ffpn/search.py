@@ -3,10 +3,12 @@
 The counting domain always excludes alpha = 0 and the zeros of f, matching
 the accounting that the sufficient-condition bounds are derived under.
 
-resolve_pair settles every admissible triple (a, b, c), a != 0, b^2 != ac,
-without visiting each one.  With f = a g, g = x^2 + b'x + c' monic,
-admissibility is c' != b'^2, and f(alpha) is primitive exactly when
-g(alpha) != 0 and dlog(a) + dlog(g(alpha)) is coprime to N = q^m - 1, which
+A quadratic is admissible when a != 0 and b^2 != 4ac, 4 read in F_p: b^2 !=
+ac in characteristic 3, b != 0 in characteristic 2.  resolve_pair settles
+every admissible triple (a, b, c) of odd characteristic without visiting
+each one.  With f = a g, g = x^2 + b'x + c' monic, admissibility is c' !=
+b'^2/4, and f(alpha) is primitive exactly when g(alpha) != 0 and
+dlog(a) + dlog(g(alpha)) is coprime to N = q^m - 1, which
 depends on dlog(a) only modulo rad(N), the product of N's primes.  So the
 kernel sweeps the Q^2 - Q admissible monic g, probing the primitive-normal
 set in discrete-log order and keeping per g a bitset of the residues mod
@@ -38,7 +40,7 @@ from .numtheory import prime_power_split
 SWEEP_FIELD_LIMIT = 4096  # largest field resolve_pair sweeps; larger ones are refused
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
 SWEEP_BATCH = 2  # blocks swept as one batch of rows: shares each round's fixed cost
-SWEEP_RUNS_PER_WORKER = 4  # contiguous block runs handed to each pool worker
+SWEEP_RUNS_PER_WORKER = 4  # imap chunks of batches per pool worker
 # plain-scan probes; the largest fields under SWEEP_FIELD_LIMIT, (3,7) and (2187,1), need 2.09e10
 RESOLVE_BUDGET = 10**11
 # cover rows of this many words or more popcount in one reduce, not word by
@@ -55,19 +57,15 @@ CHECKPOINT_KEYS = {"kernel", "q", "m", "sweep_position", "bad_quadratics", "prob
 
 @dataclass(frozen=True)
 class QuadraticSpec:
-    """f(x) = a x^2 + b x + c with a != 0 and b^2 != ac (char 3)."""
+    """f(x) = a x^2 + b x + c, admissible: a != 0 and b^2 != 4ac (FieldTower.admissible)."""
 
     a: gf.FieldElement
     b: gf.FieldElement
     c: gf.FieldElement
 
     def __post_init__(self):
-        if self.a.code == 0:
-            raise ValueError("quadratic needs a != 0")
-        t = self.a.tower
-        b2 = t.mul_codes(self.b.code, self.b.code)
-        if b2 == t.mul_codes(self.a.code, self.c.code):
-            raise ValueError("inadmissible quadratic: b^2 = ac")
+        if not self.a.tower.admissible(self.a.code, self.b.code, self.c.code):
+            raise ValueError("inadmissible quadratic: needs a != 0 and b^2 != 4ac")
 
     @classmethod
     def from_codes(cls, tower, a, b, c):
@@ -193,7 +191,7 @@ def _count_masks(ctx, fvals, e1m, e2m, gm):
 
 
 def _quadratic(tower, f):
-    """f admitted as a QuadraticSpec (a != 0, b^2 != ac), else ValueError.
+    """f admitted as a QuadraticSpec (a != 0, b^2 != 4ac), else ValueError.
 
     f is a QuadraticSpec or a triple of codes, elements or digit vectors.
     """
@@ -239,7 +237,7 @@ def verify_sieve_inequality(tower, f, d, g) -> dict:
     d: divisor of q^m - 1 (core primes); g: core divisor spec of x^m - 1.
     The remaining primes/factors are the complements.  Returns lhs, rhs,
     the term breakdown, and whether lhs >= rhs.  f must be admissible
-    (a != 0, b^2 != ac), as for exact_count.
+    (a != 0, b^2 != 4ac), as for exact_count.
     """
     ctx = search_context(tower)
     fvals = tower.quad_values(*tower.quad_codes(_quadratic(tower, f)))
@@ -300,6 +298,8 @@ class PairReport:
 
 
 def _sweep_context(p, r, m):
+    if p == 2:
+        raise ValueError("pair sweeps need odd p: for p = 2, b^2 != 4ac reads b != 0")
     if p ** (r * m) > SWEEP_FIELD_LIMIT:
         raise SizeBudgetExceeded(f"pair sweeps capped at {SWEEP_FIELD_LIMIT} elements")
     ctx = search_context(gf.build_extension(p, r, m))
@@ -315,23 +315,17 @@ def _sweep_worker(cut):
     _sweep_cut = cut
 
 
-def _sweep_run(args):
-    """Worker: sweep b'-positions [ib0, ib1), SWEEP_BATCH blocks per row batch.
+def _sweep_batch(args):
+    """Worker: sweep b'-positions [ib0, ib1) as one batch of rows.
 
     Returns one (bads, probes) pair per SWEEP_BLOCK block from ib0, in
     order; a block's pair does not depend on which blocks share its batch.
-    A pool worker stops between batches once the sweep is cut; nothing
-    reads the rest of its run.
+    Once the sweep is cut it returns [] at once: nothing reads it.
     """
+    if _sweep_cut is not None and _sweep_cut.is_set():
+        return []
     p, r, m, ib0, ib1 = args
-    ctx = _sweep_context(p, r, m)
-    span = SWEEP_BLOCK * SWEEP_BATCH
-    out = []
-    for ib in range(ib0, ib1, span):
-        if _sweep_cut is not None and _sweep_cut.is_set():
-            break
-        out += _sweep_kernel(ctx, ib, min(ib + span, ib1))[0]
-    return out
+    return _sweep_kernel(_sweep_context(p, r, m), ib0, ib1)[0]
 
 
 def _u_logs(tower, ka, bvals):
@@ -351,7 +345,7 @@ def _u_logs(tower, ka, bvals):
 def _sweep_kernel(ctx, ib0, ib1, want_samples=0):
     """Sweep b'-positions [ib0, ib1) as one batch of rows, one per monic g.
 
-    Each admissible monic g = x^2 + b'x + c' (c' != b'^2) carries a cover:
+    Each admissible monic g = x^2 + b'x + c' (c' != b'^2/4) carries a cover:
     the residues x mod rad(N) for which some alpha probed so far makes
     a g(alpha) primitive whenever dlog(a) = x (mod rad).  Round i ORs in
     the cover row of g(alpha_i); the residues left uncovered after the last
@@ -390,8 +384,9 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples=0):
     lu = _u_logs(tower, tower.log[ctx.pn_codes], bvals)
     bi = np.repeat(np.arange(len(bvals)), N + 1)
     cc = np.tile(order, len(bvals))
-    # admissible: c' != b'^2, whose lv is 2 log b' mod N + N, or 3N for b' = 0
-    adm = cc != np.where(bvals == 3 * N, 3 * N, 2 * (bvals - N) % N + N)[bi]
+    # admissible: c' != b'^2/4, whose lv is (2 log b' - log 4) mod N + N, or 3N for b' = 0
+    sq4 = np.where(bvals == 3 * N, 3 * N, (2 * (bvals - N) - tower.log[4 % tower.p]) % N + N)
+    adm = cc != sq4[bi]
     bi, cc = bi[adm], cc[adm]
     # each round writes the new cover into spare, then the two swap
     cover = np.zeros((len(bi), words), dtype=rows.dtype)
@@ -505,7 +500,7 @@ def resolve_pair(
     """Definitively resolve the pair (q, m) by full coefficient sweep.
 
     Decides every admissible f = (a, b, c), a in F*_{q^m}, b, c in F_{q^m},
-    b^2 != ac, as if probing the primitive-normal set in dlog order until f
+    b^2 != 4ac, as if probing the primitive-normal set in dlog order until f
     has a witness; f with no witness is recorded as bad.  The sweep runs
     over monic g = f / a in blocks of b' (see the module docstring for why
     that loses nothing), evaluating g(alpha) in logs through the Zech
@@ -519,14 +514,14 @@ def resolve_pair(
     before any sweeping, and a checkpoint_path that is a directory, whose
     PATH.tmp (written before each replace) is a directory, or that is in no
     existing directory or in one this process may not write raises
-    ValueError before any table is built.
+    ValueError before any table is built, as does characteristic 2.
 
     Only the leading blocks' witness samples reach the report, so those
     blocks sweep in-process, one kernel call each, until witness_samples are
     kept; the rest sweep without samples, SWEEP_BATCH blocks per row batch,
-    in contiguous runs: SWEEP_RUNS_PER_WORKER runs per pool worker, or one
-    batch per run in-process.  Fields with fewer than SWEEP_POOL_MIN_G monic
-    g always sweep in-process.  Blocks are folded in one by one, in order,
+    through pool.imap in SWEEP_RUNS_PER_WORKER chunks per worker, or one
+    batch at a time in-process.  Fields with fewer than SWEEP_POOL_MIN_G
+    monic g always sweep in-process.  Blocks are folded in one by one, in order,
     so the report does not depend on threads.
     """
     p, r = prime_power_split(q)
@@ -576,27 +571,21 @@ def resolve_pair(
     stop = sweep_position if exhausted else Q
     if threads is None:
         threads = os.cpu_count() or 1
-    if Q * Q < SWEEP_POOL_MIN_G:
-        threads = 1
-    # contiguous runs of whole batches: a few runs per worker, one batch in-process
-    batch_len = SWEEP_BLOCK * SWEEP_BATCH
-    batches = -(-(stop - sweep_position) // batch_len)
-    per_run = max(1, -(-batches // (threads * SWEEP_RUNS_PER_WORKER))) if threads > 1 else 1
-    runs = [
-        (p, r, m, ib, min(ib + batch_len * per_run, Q))
-        for ib in range(sweep_position, stop, batch_len * per_run)
-    ]
-    threads = min(threads, len(runs))
+    span = SWEEP_BLOCK * SWEEP_BATCH
+    batches = [(p, r, m, ib, min(ib + span, Q)) for ib in range(sweep_position, stop, span)]
+    threads = 1 if Q * Q < SWEEP_POOL_MIN_G else min(threads, len(batches))
     if threads > 1:
         fork = multiprocessing.get_context("fork")
         cut = fork.Event()
         pool = fork.Pool(threads, _sweep_worker, (cut,))
-        results = pool.imap(_sweep_run, runs)
+        # as Pool.map sizes its default chunks, which make 4 per worker
+        chunk = -(-len(batches) // (threads * SWEEP_RUNS_PER_WORKER))
+        results = pool.imap(_sweep_batch, batches, chunk)
     else:
-        results = map(_sweep_run, runs)
+        results = map(_sweep_batch, batches)
     try:
-        for run in results:
-            if not all(map(consume, run)):
+        for blocks in results:
+            if not all(map(consume, blocks)):
                 break
     finally:
         if threads > 1:

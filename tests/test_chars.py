@@ -269,6 +269,15 @@ def test_weil_audit_equals_per_sum_reference(monkeypatch, p, r, m, block_rows, t
         assert want["checked"] == quadratics * (len(order_triples(t)) - 1)
 
 
+def test_weil_audit_draws_only_admissible_quadratics():
+    # b^2 != ac admitted f = 19 x^2 + 11 x + 11 on F_25, where b^2 = 4ac:
+    # 19 (x + 2)^2, whose |S| = 24 broke the bound 10
+    t = build_extension(5, 1, 2)
+    fs = random_admissible_quadratics(t, 20, random.Random(2))
+    assert all(t.mul_codes(b, b) != t.mul_codes(4, t.mul_codes(a, c)) for a, b, c in fs)
+    assert weil_audit(t, quadratics=20, seed=2)["violations"] == []
+
+
 def test_weil_audit_small_audit_skips_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("pool started for a small audit")

@@ -100,6 +100,12 @@ _F81_COUNT = ("count", "--p", "3", "--m", "4", "--a", "1", "--b", "0", "--c", "1
         _F81_COUNT + ("--e1", "80", "--e2", "80", "--g", "7"),
         _F81_COUNT + ("--e1", "80", "--e2", "80", "--g", "-1"),
         ("resolve-pair", "--q", "3", "--m", "0"),
+        # in characteristic 2 admissibility is b != 0, not one c' per b'
+        ("resolve-pair", "--q", "2", "--m", "3"),
+        ("resolve-pair", "--q", "4", "--m", "2"),
+        # no quadratic leaves no worst row to report
+        ("char-audit", "--p", "3", "--m", "2", "--quadratics", "0"),
+        ("char-audit", "--p", "3", "--m", "2", "--quadratics", "-1"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -116,7 +122,7 @@ def test_refused_requests_exit_2(capsys, argv):
         # codes from Q up name no field element
         ("witness", "--p", "3", "--m", "2", "--a", "9", "--b", "1", "--c", "1"),
         ("count", "--p", "3", "--m", "4", "--a", "81", "--b", "0", "--c", "1", "--e1", "80", "--e2", "80"),
-        # count admits f as witness does: a != 0, b^2 != ac
+        # count admits f as witness does: a != 0, b^2 != 4ac
         ("count", "--p", "3", "--m", "4", "--a", "0", "--b", "0", "--c", "1", "--e1", "1", "--e2", "80"),
         ("count", "--p", "3", "--m", "4", "--a", "1", "--b", "1", "--c", "1", "--e1", "1", "--e2", "80"),
     ],

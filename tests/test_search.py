@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -48,6 +49,18 @@ def test_quadratic_admission():
     QuadraticSpec.from_codes(t, 1, 1, 0)  # c = 0 with b != 0 is fine
     with pytest.raises(ValueError):
         QuadraticSpec.from_codes(t, 1, 0, 0)  # c = 0 with b = 0 is not
+    # the rule is b^2 != 4ac, 4 read in F_p: b^2 != ac in characteristic 3
+    for a, b, c in np.ndindex(t.Q, t.Q, t.Q):
+        assert t.admissible(a, b, c) == (a != 0 and t.mul_codes(b, b) != t.mul_codes(a, c))
+    # b != 0 in characteristic 2
+    t = build_extension(2, 1, 2)
+    for a, b, c in np.ndindex(t.Q, t.Q, t.Q):
+        assert t.admissible(a, b, c) == (a != 0 and b != 0)
+    # F_25: 4 = -1, so 19 x^2 + 11 x + 11 has b^2 = 4ac though b^2 != ac
+    t = build_extension(5, 1, 2)
+    assert t.mul_codes(11, 11) == t.mul_codes(4, t.mul_codes(19, 11)) != t.mul_codes(19, 11)
+    with pytest.raises(ValueError):
+        QuadraticSpec.from_codes(t, 19, 11, 11)
 
 
 def test_enumerate_primitive_normal_counts():
@@ -200,43 +213,53 @@ def test_twelve_f3_quadratics_on_f27():
     assert missing == [(1, 1, 2)]
 
 
-def test_resolve_pair_pool_matches_in_process(monkeypatch):
-    import ffpn.search as search_mod
-
-    # small fields sweep in-process whatever `threads` says; force the pool
+@pytest.mark.parametrize("runs_per_worker", [1, 4, 1000])
+def test_resolve_pair_pool_matches_in_process(monkeypatch, runs_per_worker):
+    # small fields sweep in-process whatever `threads` says; force the pool.
+    # On 2 workers the 15 batches after the sample block go out 8, 2 or 1
+    # per imap task
     monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
-    r1 = resolve_pair(3, 3, threads=1)
-    r2 = resolve_pair(3, 3, threads=2)
+    monkeypatch.setattr(search_mod, "SWEEP_RUNS_PER_WORKER", runs_per_worker)
+    r1 = resolve_pair(3, 5, threads=1)
+    r2 = resolve_pair(3, 5, threads=2)
     assert r1.to_dict() | {"elapsed": 0} == r2.to_dict() | {"elapsed": 0}
 
 
 @pytest.mark.parametrize("p,r,m", [(3, 1, 4), (3, 2, 2), (3, 1, 5)])
 def test_batched_run_equals_single_block_sweeps(p, r, m):
-    # a run's per-block (bads, probes) do not depend on which blocks share a
-    # row batch; Q = 81 and 243 end in a ragged block
+    # a batch's per-block (bads, probes) do not depend on which blocks share
+    # its rows; Q = 81 and 243 end in a ragged block
     Q = p ** (r * m)
     step = search_mod.SWEEP_BLOCK
+    span = step * search_mod.SWEEP_BATCH
     ctx = search_mod._sweep_context(p, r, m)
     single = []
     for ib in range(0, Q, step):
         blocks, samples = search_mod._sweep_kernel(ctx, ib, min(ib + step, Q))
         assert len(blocks) == 1 and samples == []
         single += blocks
-    assert search_mod._sweep_run((p, r, m, 0, Q)) == single
-    # a run that starts mid-sweep, on a block boundary
-    assert search_mod._sweep_run((p, r, m, 3 * step, Q)) == single[3:]
+
+    def batches_from(ib0):
+        out = []
+        for ib in range(ib0, Q, span):
+            out += search_mod._sweep_batch((p, r, m, ib, min(ib + span, Q)))
+        return out
+
+    assert batches_from(0) == single
+    # batches that start mid-sweep, on a block boundary
+    assert batches_from(3 * step) == single[3:]
 
 
 def test_runs_stop_once_the_sweep_is_cut(monkeypatch):
-    # a budget cut sets the pool's event and joins the pool: runs still out
-    # return at once, so no worker is terminated in the middle of a send
+    # a budget cut sets the pool's event and joins the pool: batches still
+    # out return at once, so no worker is terminated in the middle of a send
     import threading
 
     cut = threading.Event()
     monkeypatch.setattr(search_mod, "_sweep_cut", cut)
-    assert len(search_mod._sweep_run((3, 1, 4, 0, 81))) == 11
+    assert len(search_mod._sweep_batch((3, 1, 4, 0, 16))) == 2
     cut.set()
-    assert search_mod._sweep_run((3, 1, 4, 0, 81)) == []
+    assert search_mod._sweep_batch((3, 1, 4, 0, 16)) == []
 
 
 def test_pool_budget_cut_matches_in_process(monkeypatch):
@@ -278,6 +301,35 @@ def test_pool_budget_cuts_do_not_hang():
     src = os.path.dirname(os.path.dirname(search_mod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
+
+
+def test_killed_sweep_resumes_from_its_checkpoint(tmp_path):
+    # the child writes its first checkpoint after 2 blocks, then dies at
+    # once; threads=1, so no forked worker outlives it
+    ck = str(tmp_path / "ck.json")
+    code = (
+        "import os, signal, sys\n"
+        "import ffpn.search as s\n"
+        "s.CHECKPOINT_EVERY = 2\n"
+        "write = s._write_checkpoint\n"
+        "def write_and_die(*args):\n"
+        "    write(*args)\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "s._write_checkpoint = write_and_die\n"
+        "s.resolve_pair(3, 4, threads=1, checkpoint_path=sys.argv[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(search_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, ck], env=env, timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    with open(ck, encoding="utf-8") as fh:
+        assert json.load(fh)["sweep_position"] == 2 * search_mod.SWEEP_BLOCK
+    resumed = resolve_pair(3, 4, threads=1, checkpoint_path=ck).to_dict()
+    full = resolve_pair(3, 4, threads=1).to_dict()
+    skip = {"elapsed", "witnesses"}
+    assert {k: v for k, v in resumed.items() if k not in skip} == {
+        k: v for k, v in full.items() if k not in skip
+    }
 
 
 def test_resolve_pair_deterministic_and_idempotent():
@@ -457,17 +509,17 @@ def _quad_value(t, a, b, c, x):
     )
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_resolve_pair_equals_unreduced_scan(m):
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2)], ids=["2", "3", "5-2"])
+def test_resolve_pair_equals_unreduced_scan(p, m):
     # every admissible (a, b, c), scanned one by one by find_witness
-    t = build_extension(3, 1, m)
+    t = build_extension(p, 1, m)
     pn = [int(x) for x in search_context(t).pn_codes]
     bad = set()
     depth = 0
     for a in range(1, t.Q):
         for b in range(t.Q):
             for c in range(t.Q):
-                if t.mul_codes(b, b) == t.mul_codes(a, c):
+                if not t.admissible(a, b, c):
                     continue
                 w = find_witness(t, (a, b, c))
                 if w is None:
@@ -475,7 +527,7 @@ def test_resolve_pair_equals_unreduced_scan(m):
                     depth += len(pn)
                 else:
                     depth += pn.index(w.code) + 1
-    rep = resolve_pair(3, m, threads=1)
+    rep = resolve_pair(p, m, threads=1)
     assert set(rep.bad_quadratics) == bad
     assert rep.probes_done == depth
 
@@ -674,9 +726,9 @@ def test_context_and_count_hold_no_wide_temporaries(monkeypatch):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("p,r,m,ib1", [(3, 1, 4, 81), (2, 1, 8, 256), (5, 1, 4, 32)])
+@pytest.mark.parametrize("p,r,m,ib1", [(3, 1, 4, 81), (239, 1, 1, 48), (5, 1, 4, 32)])
 def test_wide_row_popcount_equals_word_loop(monkeypatch, p, r, m, ib1):
-    # rad(N) = 10, 255, 78: cover rows of 1, 4 and 2 words
+    # rad(N) = 10, 238, 78: cover rows of 1, 4 and 2 words
     ctx = search_mod._sweep_context(p, r, m)
     runs = []
     for wide in (10**9, 1):
