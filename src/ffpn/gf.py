@@ -9,11 +9,14 @@ vectors compared as base-p integers), so every run of every build picks the
 same structures.
 
 Log/antilog tables (exp[k] = g^k and its inverse log) are built eagerly for
-fields up to 2^24 elements, a block of powers of g at a time by one
-F_p-matrix product (FieldTower._build_tables): about N n^2 multiply-adds in
-numpy, 0.027 s for 3^11 on a 2-vCPU Xeon VM.  Towers of one field with
-different splits n = r*m (F_{3^10} as (9,5) and (243,2)) share one set of
-tables through build_extension.  Above 2^24, discrete logs fall back to
+fields up to 2^24 elements, a block of powers of g at a time
+(FieldTower._powers): the first by F_p-matrix products, every later one as
+the one before times g^B, stepped by gathers from small tables on int64
+lane-packed digits with no digit products.  That takes 0.009 s for 3^11
+and 0.3 s for 3^14 on a 2-vCPU Xeon VM (0.044 s and 1.5 s by n x n
+F_p-matrix products).  Towers of one field with different splits n = r*m
+(F_{3^10} as (9,5) and (243,2)) share one set of tables through
+build_extension.  Above 2^24, discrete logs fall back to
 baby-step giant-step up to 2^40.
 
 A tabled tower also builds, on first use, the Zech table zech[k] =
@@ -42,6 +45,23 @@ from .numtheory import factorize, is_prime
 TABLE_LIMIT = 1 << 24
 BSGS_LIMIT = 1 << 40
 _TABLE_BLOCK = 1 << 12  # powers of g stepped at once by the log-table build
+
+
+def _lane_layout(p, n):
+    """(b, w): lane width in bits and lanes per group of the log-table build.
+
+    In characteristic 2 a lane is one bit of the code and groups combine by
+    XOR.  Otherwise b is the least width with G (p - 1) < 2^b for the
+    G = ceil(n / w) groups of w = max(1, 12 // b) lanes.
+    """
+    if p == 2:
+        return 1, 12
+    b = 1
+    while True:
+        w = max(1, 12 // b)
+        if -(-n // w) * (p - 1) < 1 << b:
+            return b, w
+        b += 1
 
 
 # ---------------------------------------------------------------------------
@@ -398,63 +418,166 @@ class FieldTower:
         return self._nfactors
 
     def find_generator_code(self, cache=None):
+        """The smallest code c with c^(N/l) != 1 for every prime l | N.
+
+        M(c) = sum_i c_i X^i is the n x n F_p matrix of multiplication by c,
+        X that of x, and column 0 of M(c)^k holds the digits of c^k.
+        Candidates go in ascending batches of 1, 2, 4, ... up to 64, and
+        each batch raises its stack of M(c) to every N/l along one
+        square-and-multiply chain in numpy.  Entries stay below p, so the
+        products are int64 while n (p - 1)^2 < 2^63 and Python ints above.
+        """
         if self.generator_code is not None:
             return self.generator_code
-        primes = self.n_factorization(cache).primes()
-        for code in range(1, self.Q):
-            if all(self.pow_code(code, self.N // l) != 1 for l in primes):
-                self.generator_code = code
-                return code
+        p, n = self.p, self.n
+        exps = [self.N // l for l in self.n_factorization(cache).primes()]
+        dtype = np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
+        x = self._pw[1] % self.Q  # x is 0 in F_p[x]/(x)
+        X = self.linear_map_matrix(lambda c: self.mul_codes(c, x), dtype)
+        x_pows = [np.eye(n, dtype=dtype)]
+        for _ in range(n - 1):
+            x_pows.append(x_pows[-1] @ X % p)
+        x_pows = np.array(x_pows)
+        lo, size = 1, 1
+        while lo < self.Q:
+            hi = min(lo + size, self.Q)
+            digits = np.array([self.decode(c) for c in range(lo, hi)], dtype=dtype)
+            square = np.tensordot(digits, x_pows, 1) % p  # M(c) for c in [lo, hi)
+            cols = np.zeros((hi - lo, n, len(exps)), dtype=dtype)  # column l: c^(N/l)
+            cols[:, 0] = 1
+            for bit in range(max(exps, default=0).bit_length()):
+                hit = [e >> bit & 1 == 1 for e in exps]
+                cols[:, :, hit] = square @ cols[:, :, hit] % p
+                square = square @ square % p
+            primitive = ~(cols == np.eye(n, 1, dtype=dtype)).all(axis=1).any(axis=1)
+            if primitive.any():
+                self.generator_code = lo + int(primitive.argmax())
+                return self.generator_code
+            lo, size = hi, min(2 * size, 64)
         raise AssertionError("no generator found")
 
     def _build_tables(self):
         """Fill exp[k] = code of g^k (k < N) and its inverse log (log[0] = -1).
 
         Both are int32: every code and log is below Q <= TABLE_LIMIT = 2^24.
-
-        Powers of g are computed _TABLE_BLOCK at a time as a (B, n) matrix
-        of base-p digit rows.  With M(h) the n x n F_p matrix of
-        multiplication by h, the first block doubles up from g^0 as
-        rows[L:2L] = rows[:L] M(g^L)^T, and every later block is the one
-        before times M(g^B)^T.  Each block is encoded straight into its
-        slice of exp and scattered into log, so no (N, n) matrix is ever
-        held.  Cost: about N n^2 multiply-adds in numpy plus O(n log B)
-        scalar multiplies for the matrices.
+        exp comes from _powers; log is scattered from it a block at a time.
 
         Raises ArithmeticError unless g^N = 1 and every nonzero code gets
         exactly one log, i.e. unless g really is primitive.
         """
         if self.Q > TABLE_LIMIT:
             raise SizeBudgetExceeded(f"log table for {self.Q} elements exceeds 2^24")
-        p, n, N = self.p, self.n, self.N
+        N, B = self.N, _TABLE_BLOCK
         g = self.find_generator_code()
+        exp = self._powers(g)
+        log = np.full(self.Q, -1, dtype=np.int32)
+        for lo in range(0, N, B):
+            hi = min(lo + B, N)
+            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+        if self.mul_codes(int(exp[-1]), g) != 1 or log[1:].min() < 0:
+            raise ArithmeticError(f"generator code {g} is not primitive in F_{self.Q}")
+        self.exp = exp
+        self.log = log
+        self.has_tables = True
+
+    def _times(self, h):
+        """M(h)^T, with M(h) the n x n F_p matrix of multiplication by h."""
+        return self.linear_map_matrix(lambda c: self.mul_codes(c, h)).T
+
+    def _powers(self, g):
+        """int32 codes of g^0 .. g^(N-1), made B = _TABLE_BLOCK at a time.
+
+        Each block is encoded straight into its slice, so no (N, n) array is
+        ever held.  The first block doubles up from g^0 as base-p digit
+        rows, rows[L:2L] = rows[:L] M(g^L)^T.  Every later block is the one
+        before times h = g^B.  In F_p (n = 1) a power is its own code, and
+        that step is one product mod p per element.
+
+        For n >= 2 a power steps by table gathers on a lane form.  A power
+        with digits d_i (integers congruent to its coefficients mod p, not
+        necessarily reduced) is the int64 s = sum_i d_i 2^(b i): digit i sits
+        in the b-bit lane [b i, b i + b), with (b, w) from _lane_layout.  The
+        lanes fall into G groups of w.  Group j's raw bits
+        r_j = (s >> b w j) & (2^(b w) - 1) stand for the element
+        e_j = sum_i d_(w j + i) x^(w j + i), and two tables map them:
+            step_j[r_j] = the lane form of h e_j, every lane reduced mod p;
+            code_j[r_j] = the code of e_j, every digit reduced mod p.
+        The e_j sum to the power and multiplication by h is F_p-linear, so
+        sum_j step_j[r_j] is the lane form of the next power if the sum
+        carries nowhere.  It does not: each lane of a step entry is at most
+        p - 1, so the same lane of a sum of G entries is at most
+        top = G (p - 1) < 2^b, and integer addition adds lane by lane.  A
+        lane thus never exceeds top (first-block lanes are below p), and the
+        tables need rows only up to the raw value with every lane at top.
+        sum_j code_j[r_j] is the power's code, the groups holding disjoint
+        base-p digits each below p.  _lane_layout keeps n b <= 63 for every
+        tabled field with p odd, so s fits int64.  In characteristic 2 the
+        lanes are the code's bits (b = 1) and adding elements is XOR of
+        codes, so there the groups combine by XOR and every lane stays 0 or 1.
+
+        Each table is one (rows, w) x (w, n) product with rows <= 2^(b w),
+        at most 2^12 rows while b <= 12; wider lanes (w = 1) come only with
+        n = 2 and p > 2^11, at most 2p rows.  A step costs G shifts and
+        masks, 2G gathers and 2G - 2 adds per element, and no product.
+        """
+        p, n, N = self.p, self.n, self.N
         B = min(_TABLE_BLOCK, N)
-
-        def times(h):
-            return self.linear_map_matrix(lambda c: self.mul_codes(c, h)).T
-
         block = np.zeros((B, n), dtype=np.int64)
         block[0, 0] = 1
         L, gL = 1, g
         while L < B:
             step = min(L, B - L)
-            block[L : L + step] = block[:step] @ times(gL) % p
+            block[L : L + step] = block[:step] @ self._times(gL) % p
             L, gL = L + step, self.mul_codes(gL, gL)
-        pw = np.array(self._pw[:n], dtype=np.int64)
         exp = np.empty(N, dtype=np.int32)
-        log = np.full(self.Q, -1, dtype=np.int32)
-        step_B = times(self.pow_code(g, B))
-        for lo in range(0, N, B):
-            if lo:
-                block = block @ step_B % p
+        exp[:B] = block @ self._pw[:n]
+        if B == N:
+            return exp
+        h = self.pow_code(g, B)
+        if n == 1:
+            s = block[:, 0]
+            for lo in range(B, N, B):
+                s = s * h % p
+                hi = min(lo + B, N)
+                exp[lo:hi] = s[: hi - lo]
+            return exp
+        b, w = _lane_layout(p, n)
+        lane = np.left_shift(1, b * np.arange(n, dtype=np.int64))
+        s = block @ lane
+        del block
+        top = 1 if p == 2 else -(-n // w) * (p - 1)  # the largest value a lane holds
+        h_rows = self._times(h)
+
+        def tables(i):  # step_j and code_j of the group of lanes from lane i
+            k = min(w, n - i)
+            raw = np.arange(sum(top << b * j for j in range(k)) + 1)
+            digits = raw[:, None] >> b * np.arange(k) & (1 << b) - 1
+            step = digits @ h_rows[i : i + k]
+            step %= p  # in place: (rows, n) is the widest array the build makes
+            return step @ lane, (digits % p @ self._pw[i : i + k]).astype(np.int32)
+
+        starts = range(0, n, w)
+        steps, codes = zip(*map(tables, starts))
+        combine = np.bitwise_xor if p == 2 else np.add
+        idx = np.empty((len(starts), B), dtype=np.int64)
+
+        def split():  # idx[j] = the raw bits of group j of every s
+            for j, i in enumerate(starts):
+                np.right_shift(s, b * i, out=idx[j])
+                idx[j] &= (1 << b * w) - 1
+
+        split()
+        for lo in range(B, N, B):
+            np.take(steps[0], idx[0], out=s)
+            for j in range(1, len(steps)):
+                combine(s, steps[j][idx[j]], out=s)
+            split()
             hi = min(lo + B, N)
-            exp[lo:hi] = block[: hi - lo] @ pw
-            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
-        if self.mul_codes(int(exp[-1]), g) != 1 or (log[1:] < 0).any():
-            raise ArithmeticError(f"generator code {g} is not primitive in F_{self.Q}")
-        self.exp = exp
-        self.log = log
-        self.has_tables = True
+            out = exp[lo:hi]
+            np.take(codes[0], idx[0, : hi - lo], out=out)
+            for j in range(1, len(codes)):
+                out += codes[j][idx[j, : hi - lo]]
+        return exp
 
     def _share_tables(self, twin):
         """Take the tables of twin, a tabled tower of the same field F_{p^n}.
@@ -576,12 +699,12 @@ class FieldTower:
         out[self.exp] = vals
         return out
 
-    def linear_map_matrix(self, func):
+    def linear_map_matrix(self, func, dtype=np.int64):
         """n x n matrix over F_p of a linear map given on codes."""
         cols = []
         for j in range(self.n):
             cols.append(self.decode(func(self._pw[j])))
-        return np.array(cols, dtype=np.int64).T % self.p
+        return np.array(cols, dtype=dtype).T % self.p
 
     def kernel_codes(self, mat):
         """Ascending codes of the kernel {v : mat v = 0} of an n x n F_p matrix.

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CorruptCache, FactorMismatch, NotPrime, UnfactoredCofactor
 
 TRIAL_LIMIT = 10**6
+_SMALL_SIEVE = 1 << 12  # small_primes' first sieve bound
 _RHO_ATTEMPTS = 24
 _RHO_MAX_ITER = 1 << 21
 
@@ -32,7 +33,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
 _MR_PROBABLE_ROUNDS = 64
 
-_small_primes_cache = None
+_small_primes_cache = (1, [])  # (sieve bound, the primes up to it)
 _small_primes_lock = threading.Lock()
 
 
@@ -46,18 +47,27 @@ def _primes_upto(limit):
     return np.flatnonzero(sieve)
 
 
-def small_primes():
-    """All primes up to TRIAL_LIMIT, ascending, built once and cached.
+def small_primes(limit=TRIAL_LIMIT):
+    """The cached primes, ascending: every prime up to min(limit, TRIAL_LIMIT)
+    and maybe more, so callers stop at their own bound.  With no argument,
+    all primes up to TRIAL_LIMIT.
 
-    The list holds Python ints, not numpy scalars, because trial division
-    takes rem % p on integers far beyond int64.
+    The sieve runs only as far as callers ask, in two steps: to
+    _SMALL_SIEVE = 2^12 while no limit passes that, enough to trial-divide
+    any n below 2^24 (every tabled field's N), and to TRIAL_LIMIT at the
+    first limit that does.  The list is never sliced: a conditions pass
+    copying 78,498-entry prefixes, or re-sieving by doubling, ended with up
+    to 3 MB more RSS.  It holds Python ints, not numpy scalars, because
+    trial division takes rem % p on integers far beyond int64.
     """
     global _small_primes_cache
-    if _small_primes_cache is None:
+    limit = min(limit, TRIAL_LIMIT)
+    if limit > _small_primes_cache[0]:
         with _small_primes_lock:
-            if _small_primes_cache is None:
-                _small_primes_cache = _primes_upto(TRIAL_LIMIT).tolist()
-    return _small_primes_cache
+            if limit > _small_primes_cache[0]:
+                bound = _SMALL_SIEVE if limit <= _SMALL_SIEVE else TRIAL_LIMIT
+                _small_primes_cache = (bound, _primes_upto(bound).tolist())
+    return _small_primes_cache[1]
 
 
 def _miller_rabin_round(n, a, d, s):
@@ -316,7 +326,7 @@ def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None):
             if not certified and h in found:
                 probable.append(h)
 
-    for p in small_primes():
+    for p in small_primes(isqrt(rem)):
         if p * p > rem:
             break
         while rem % p == 0:
@@ -375,7 +385,7 @@ def prime_power_split(q):
     """Write q = p^r with p prime; raises NotPrime otherwise."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    for p in small_primes():
+    for p in small_primes(isqrt(q)):
         if p * p > q:
             break
         if q % p == 0:

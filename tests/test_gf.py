@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ffpn.gf import (
     is_e_free,
     trace,
 )
-from ffpn.numtheory import factorize, multiplicative_stats
+from ffpn.numtheory import factorize, multiplicative_stats, small_primes
 
 
 def T(p, r, m, **kw):
@@ -337,6 +338,59 @@ def test_table_build_refuses_non_primitive_generator(monkeypatch, p, r, m, k):
     monkeypatch.setattr(FieldTower, "find_generator_code", lambda self, cache=None: gk)
     with pytest.raises(ArithmeticError, match="not primitive"):
         FieldTower(p, r, m, build_tables=True)
+
+
+def test_lane_layout_fits_int64_and_never_carries():
+    # every tabled field F_{p^n} with n >= 2 steps its log tables on lanes
+    fields = 0
+    for p in small_primes(1 << 12):
+        n = 2
+        while p**n <= gf.TABLE_LIMIT:
+            b, w = gf._lane_layout(p, n)
+            groups = -(-n // w)
+            if p == 2:
+                assert b == 1  # the lanes are the code's bits, combined by XOR
+            else:
+                assert groups * (p - 1) < 1 << b  # a sum of G reduced lanes carries nowhere
+                assert n * b <= 63
+                assert b * w <= 12 or (w == 1 and n == 2)
+            fields += 1
+            n += 1
+    assert fields == 684
+
+
+@pytest.mark.parametrize("p,r,m", [(2, 1, 13), (3, 1, 9), (5, 1, 6), (4099, 1, 1)])
+def test_table_build_past_one_block_equals_scalar_chain(p, r, m):
+    # N = 8191, 19682, 15624, 4098 > _TABLE_BLOCK: XOR lanes, added lanes, and F_p
+    assert p**m - 1 > gf._TABLE_BLOCK
+    _assert_same_tables(FieldTower(p, r, m, build_tables=True), *_scalar_chain(p, r, m))
+
+
+def test_table_build_holds_no_wide_temporaries():
+    # numpy reports its buffers to tracemalloc, so the peak is exact.  A fresh
+    # F_{3^11} build keeps exp and log (8 bytes per element) and may allocate
+    # 1 more per element beside them (it takes 0.3); stepping int64 digit
+    # rows by the matrix of g^B took 6.1.
+    t = FieldTower(3, 1, 11, build_tables=False)
+    t.find_generator_code()
+    tracemalloc.start()
+    try:
+        t._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= t.exp.nbytes + t.log.nbytes + t.Q
+
+
+@pytest.mark.parametrize(
+    "p,r,m",
+    [(2, 1, 1), (2, 1, 10), (2, 3, 4), (3, 1, 1), (3, 1, 7), (3, 2, 4), (5, 1, 5), (7, 1, 4), (131, 1, 1), (131, 1, 2)],
+)
+def test_matrix_generator_search_equals_scalar_search(p, r, m):
+    t = FieldTower(p, r, m, build_tables=False)
+    primes = t.n_factorization().primes()
+    scalar = next(c for c in range(1, t.Q) if all(t.pow_code(c, t.N // l) != 1 for l in primes))
+    assert t.find_generator_code() == scalar
 
 
 def _scalar_quad(t, a, b, c, x):

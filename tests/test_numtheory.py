@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ffpn import numtheory
 from ffpn.errors import CorruptCache, NotPrime
 from ffpn.numtheory import (
     FactorCache,
@@ -167,6 +168,24 @@ def test_small_primes_sieve():
     sp = small_primes()
     assert sp[:5] == [2, 3, 5, 7, 11]
     assert sp[-1] < 10**6 and len(sp) == 78498
+
+
+def test_small_primes_sieve_only_as_far_as_asked(monkeypatch):
+    # 3^11 - 1 = 2 * 23 * 3851: trial division stops by isqrt(177146) = 420,
+    # so a cold factorization sieves to 2^12, not to 10^6
+    monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+    assert factorize(3**11 - 1).factors == ((2, 1), (23, 1), (3851, 1))
+    assert prime_power_split(3**11) == (3, 11)
+    assert numtheory._small_primes_cache[0] == 1 << 12
+    assert factorize(999_983 * 999_979).factors == ((999_979, 1), (999_983, 1))
+    assert numtheory._small_primes_cache[0] == 10**6
+    full = small_primes()
+    assert len(full) == 78498
+    for limit in (0, 1, 2, 3, 420, 4093, 4096, 4097, 10**6 - 1, 10**6, 10**7):
+        monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+        primes = small_primes(limit)
+        assert primes == full[: len(primes)]  # a prefix of the full list
+        assert [p for p in primes if p <= limit] == [p for p in full if p <= limit]
 
 
 def test_small_primes_equal_plain_sieve_as_python_ints():
