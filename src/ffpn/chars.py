@@ -299,20 +299,16 @@ def freeness_indicator(kind, target, alpha) -> float:
         exps = tp.pf.exponents_of(target)
         q = t.q
         support = [i for i, ex in enumerate(exps) if ex > 0]
-        Theta = float(
-            fqpoly.poly_stats(q, [(tp.pf.factors[i].degree, exps[i]) for i in support]).Theta
-        )
+        Theta = float(fqpoly.poly_stats(q, [(tp.pf.degrees[i], exps[i]) for i in support]).Theta)
         div_index = {ex: i for i, (_poly, ex) in enumerate(tp.divisors())}
-        nfac = len(tp.pf.factors)
+        nfac = len(tp.pf.degrees)
         psi_at_alpha = ctx.add_values(code)  # psi_delta(alpha) = psi_alpha(delta), by delta
         total = 0.0 + 0j
         for ssize in range(len(support) + 1):
             for subset in combinations(support, ssize):
                 ex = tuple(1 if i in subset else 0 for i in range(nfac))
                 di = div_index[ex]
-                phi_f = fqpoly.poly_stats(
-                    q, [(tp.pf.factors[i].degree, 1) for i in subset]
-                ).Phi
+                phi_f = fqpoly.poly_stats(q, [(tp.pf.degrees[i], 1) for i in subset]).Phi
                 vals = psi_at_alpha[ctx.delta_class(di)]
                 total += ((-1) ** ssize / phi_f) * _csum(vals)
         return Theta * total.real

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the refusal of paths that cannot be written."""
+
+import os
 
 
 class FfpnError(Exception):
@@ -42,3 +44,17 @@ class ZeroElement(FfpnError):
 
 class DivisibilityViolation(FfpnError):
     pass
+
+
+def refuse_unwritable(path, prefix, error):
+    """Raise error("<prefix> <path>...") unless a file can be written at path
+    through path.tmp: not when either is a directory, or the folder is
+    missing or read-only."""
+    for p in (path, path + ".tmp"):
+        if os.path.isdir(p):
+            raise error(f"{prefix} {path}: {p} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise error(f"{prefix} {path} is in no existing directory")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise error(f"{prefix} {path} is in a read-only directory")

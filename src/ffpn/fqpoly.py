@@ -2,11 +2,13 @@
 
 x^m - 1 = (x^m0 - 1)^(p^a) with m = m0 * p^a, gcd(m0, p) = 1, and the
 distinct irreducible factors over F_q correspond to the cyclotomic cosets
-of q modulo divisors of m0 (coset size = factor degree).  Degrees come from
-pure integer coset data; explicit coefficient polynomials are constructed
-on demand: single-coset divisors reduce the integer cyclotomic polynomial
-mod p, multi-coset divisors take orbit products over a deterministic
-scratch extension and map the coefficients back to the canonical F_q.
+of q modulo divisors of m0 (coset size = factor degree).  factor_xm1 keeps
+only that integer coset data, which is all the sufficient conditions read.
+The canonical F_q and the explicit coefficient polynomials are built on
+first read of PolyFactorization.field and .factors: single-coset divisors
+reduce the integer cyclotomic polynomial mod p, multi-coset divisors take
+orbit products over a deterministic scratch extension and map the
+coefficients back to the canonical F_q.
 
 The F_q[x]-module action on F_{q^m} is f o alpha = sum a_i alpha^(q^i),
 with the i = 0 constant term included.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from . import gf
@@ -162,23 +164,6 @@ def _cosets_mod(d, q):
     return orbits
 
 
-def xm1_factor_degrees(q, m):
-    """(m0, a, [(degree, count), ...]) from coset data alone."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    p, _r = prime_power_split(q)
-    m0, a = m, 0
-    while m0 % p == 0:
-        m0 //= p
-        a += 1
-    counts = {}
-    for d in divisors_of(m0):
-        orbits = _cosets_mod(d, q % d if d > 1 else 0) if d > 1 else [(0,)]
-        for orb in orbits:
-            counts[len(orb)] = counts.get(len(orb), 0) + 1
-    return m0, a, sorted(counts.items())
-
-
 def _int_cyclotomic_mod_p(d, p, field):
     """Phi_d(x) with integer coefficients reduced mod p, over field."""
     num = FqPolynomial(field, (1,))
@@ -241,7 +226,12 @@ def _factors_for_divisor(d, q, p, r, field):
 
 @dataclass(frozen=True)
 class PolyFactorization:
-    """Distinct irreducible factors of x^m - 1 over F_q, common multiplicity p^a."""
+    """Distinct irreducible factors of x^m - 1 over F_q, common multiplicity p^a.
+
+    Built from coset data: degrees[i] is the degree of factor i, ascending.
+    field (the canonical F_q) and factors (sorted by (degree, coeffs), so
+    factors[i] has degree degrees[i]) are built on first read.
+    """
 
     q: int
     m: int
@@ -250,11 +240,20 @@ class PolyFactorization:
     m0: int
     a: int
     multiplicity: int
-    factors: tuple
-    field: object
+    degrees: tuple
 
-    def degrees(self):
-        return [f.degree for f in self.factors]
+    @cached_property
+    def field(self):
+        return small_field(self.p, self.r)
+
+    @cached_property
+    def factors(self):
+        factors = [
+            f
+            for d in divisors_of(self.m0)
+            for f in _factors_for_divisor(d, self.q, self.p, self.r, self.field)
+        ]
+        return tuple(sorted(factors, key=lambda f: (f.degree, f.coeffs)))
 
     def divisors(self):
         """All monic divisors of x^m - 1 as (poly, exponent tuple), by degree."""
@@ -279,7 +278,7 @@ class PolyFactorization:
         an iterable of indices into self.factors (their squarefree product).
         Anything else raises ValueError.
         """
-        s = len(self.factors)
+        s = len(self.degrees)
         if g == "all":
             return (self.multiplicity,) * s
         if g is None or g == 1:
@@ -318,25 +317,17 @@ class PolyFactorization:
 
 @lru_cache(maxsize=None)
 def factor_xm1(q, m):
-    """Factor x^m - 1 over F_q into distinct irreducibles with multiplicity."""
+    """x^m - 1 over F_q, m = m0 p^a: one distinct factor of degree |C| per
+    coset C of q on the residues prime to d, for each d | m0."""
     p, r = prime_power_split(q)
-    field = small_field(p, r)
-    m0, a, _deg = xm1_factor_degrees(q, m)
-    factors = []
-    for d in divisors_of(m0):
-        factors.extend(_factors_for_divisor(d, q, p, r, field))
-    factors.sort(key=lambda f: (f.degree, f.coeffs))
-    return PolyFactorization(
-        q=q,
-        m=m,
-        p=p,
-        r=r,
-        m0=m0,
-        a=a,
-        multiplicity=p**a,
-        factors=tuple(factors),
-        field=field,
-    )
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    m0, a = m, 0
+    while m0 % p == 0:
+        m0 //= p
+        a += 1
+    degrees = sorted(len(orb) for d in divisors_of(m0) for orb in _cosets_mod(d, q % d))
+    return PolyFactorization(q, m, p, r, m0, a, p**a, tuple(degrees))
 
 
 @dataclass(frozen=True)

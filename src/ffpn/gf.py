@@ -412,25 +412,27 @@ class FieldTower:
 
     # -- canonical generator and tables ----------------------------------
 
-    def n_factorization(self, cache=None):
+    def n_factorization(self):
         if self._nfactors is None:
-            self._nfactors = factorize(self.N, cache=cache)
+            self._nfactors = factorize(self.N)
         return self._nfactors
 
-    def find_generator_code(self, cache=None):
+    def find_generator_code(self):
         """The smallest code c with c^(N/l) != 1 for every prime l | N.
 
-        M(c) = sum_i c_i X^i is the n x n F_p matrix of multiplication by c,
-        X that of x, and column 0 of M(c)^k holds the digits of c^k.
-        Candidates go in ascending batches of 1, 2, 4, ... up to 64, and
-        each batch raises its stack of M(c) to every N/l along one
-        square-and-multiply chain in numpy.  Entries stay below p, so the
-        products are int64 while n (p - 1)^2 < 2^63 and Python ints above.
+        For n >= 2 the search starts at c = p: the codes below p are F_p,
+        whose orders divide p - 1 < N.  M(c) = sum_i c_i X^i is the n x n
+        F_p matrix of multiplication by c, X that of x, and column 0 of
+        M(c)^k holds the digits of c^k.  Candidates go in ascending batches
+        of 1, 2, 4, ... up to 64, and each batch raises its stack of M(c) to
+        every N/l along one square-and-multiply chain in numpy.  Entries
+        stay below p, so the products are int64 while n (p - 1)^2 < 2^63
+        and Python ints above.
         """
         if self.generator_code is not None:
             return self.generator_code
         p, n = self.p, self.n
-        exps = [self.N // l for l in self.n_factorization(cache).primes()]
+        exps = [self.N // l for l in self.n_factorization().primes()]
         dtype = np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
         x = self._pw[1] % self.Q  # x is 0 in F_p[x]/(x)
         X = self.linear_map_matrix(lambda c: self.mul_codes(c, x), dtype)
@@ -438,7 +440,7 @@ class FieldTower:
         for _ in range(n - 1):
             x_pows.append(x_pows[-1] @ X % p)
         x_pows = np.array(x_pows)
-        lo, size = 1, 1
+        lo, size = (p if n >= 2 else 1), 1
         while lo < self.Q:
             hi = min(lo + size, self.Q)
             digits = np.array([self.decode(c) for c in range(lo, hi)], dtype=dtype)
@@ -848,9 +850,9 @@ def trace(alpha: FieldElement, target="to_Fq") -> FieldElement:
     raise ValueError(f"unknown trace target {target!r}")
 
 
-def find_generator(tower: FieldTower, cache=None) -> FieldElement:
+def find_generator(tower: FieldTower) -> FieldElement:
     """Lexicographically smallest primitive element."""
-    return FieldElement(tower, tower.find_generator_code(cache))
+    return FieldElement(tower, tower.find_generator_code())
 
 
 def is_e_free(alpha: FieldElement, e) -> bool:

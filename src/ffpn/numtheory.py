@@ -21,7 +21,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import CorruptCache, FactorMismatch, NotPrime, UnfactoredCofactor
+from .errors import CorruptCache, FactorMismatch, NotPrime, UnfactoredCofactor, refuse_unwritable
 
 TRIAL_LIMIT = 10**6
 _SMALL_SIEVE = 1 << 12  # small_primes' first sieve bound
@@ -224,10 +224,10 @@ class FactorCache:
     Primes are listed with multiplicity in increasing order.  Lookups may
     happen concurrently; writes are serialized and atomic.  A file that is
     not such a JSON object, a directory at the path or at the PATH.tmp that
-    writes go through, or a path in no existing directory raises
-    CorruptCache and is left as it is; an
-    entry whose product is not n or whose members are not all prime is
-    ignored with a warning that says why, and the next store replaces it.
+    writes go through, or a path in a missing or read-only directory raises
+    CorruptCache and is left as it is; an entry whose product is not n or
+    whose members are not all prime is ignored with a warning that says
+    why, and the next store replaces it.
     """
 
     def __init__(self, path):
@@ -237,11 +237,7 @@ class FactorCache:
 
     def _load(self):
         if self._data is None:
-            for path in (self.path, self.path + ".tmp"):
-                if os.path.isdir(path):
-                    raise CorruptCache(f"factor cache {self.path}: {path} is a directory")
-            if not os.path.isdir(os.path.dirname(self.path) or "."):
-                raise CorruptCache(f"factor cache {self.path} is in no existing directory")
+            refuse_unwritable(self.path, "factor cache", CorruptCache)
             try:
                 with open(self.path, "r", encoding="utf-8") as fh:
                     data = json.load(fh)

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fqpoly, gf
-from .errors import SizeBudgetExceeded
+from .errors import SizeBudgetExceeded, refuse_unwritable
 from .numtheory import prime_power_split
 
 SWEEP_FIELD_LIMIT = 4096  # largest field resolve_pair sweeps; larger ones are refused
@@ -97,7 +97,7 @@ class SearchContext:
         # bit j set <=> ((x^m - 1)/h_j) o alpha != 0, i.e. alpha is off that
         # map's kernel, the multiples of h_j (q^(m - deg h_j) of the Q codes);
         # x^m - 1 has at most m <= n <= 24 distinct factors
-        nfactors = len(self.tp.pf.factors)
+        nfactors = len(self.tp.pf.degrees)
         assert nfactors <= 24, "g_bits holds one bit per factor of x^m - 1"
         self.all_g_mask = (1 << nfactors) - 1
         gb = np.full(Q, self.all_g_mask, dtype=np.min_scalar_type(self.all_g_mask))
@@ -244,7 +244,7 @@ def verify_sieve_inequality(tower, f, d, g) -> dict:
     dm = ctx.prime_mask_of(d) if d > 1 else 0
     gm = ctx.g_mask_of(g)
     rem_primes = [i for i, p in enumerate(ctx.primes) if d % p != 0]
-    rem_factors = [j for j in range(len(ctx.tp.pf.factors)) if not (gm >> j) & 1]
+    rem_factors = [j for j in range(len(ctx.tp.pf.degrees)) if not (gm >> j) & 1]
     n = len(rem_primes)
     k = len(rem_factors)
     full = _count_masks(ctx, fvals, ctx.all_prime_mask, ctx.all_prime_mask, ctx.all_g_mask)
@@ -526,14 +526,7 @@ def resolve_pair(
     """
     p, r = prime_power_split(q)
     if checkpoint_path:
-        for path in (checkpoint_path, checkpoint_path + ".tmp"):
-            if os.path.isdir(path):
-                raise ValueError(f"checkpoint path {checkpoint_path}: {path} is a directory")
-        folder = os.path.dirname(checkpoint_path) or "."
-        if not os.path.isdir(folder):
-            raise ValueError(f"checkpoint path {checkpoint_path} is in no existing directory")
-        if not os.access(folder, os.W_OK | os.X_OK):
-            raise ValueError(f"checkpoint path {checkpoint_path} is in a read-only directory")
+        refuse_unwritable(checkpoint_path, "checkpoint path", ValueError)
     # tables are built before forking so workers inherit them
     ctx = _sweep_context(p, r, m)
     tower = ctx.tower

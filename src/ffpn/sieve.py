@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisibilityViolation
-from .fqpoly import FqPolynomial, factor_xm1, xm1_factor_degrees
+from .fqpoly import FqPolynomial, factor_xm1
 from .numtheory import factorize_qm_minus_1, multiplicative_stats, partial_factorize_qm_minus_1
 
 # auto_sieve's order among equal-degree factors: it leaves out the
@@ -123,8 +123,7 @@ def basic_condition(q, m, cache=None):
     in "unsplit_digits".  Only when the bound fails is q^m - 1 factored in
     full.  Otherwise "W_bound" is "exact" and "W" is W(q^m - 1).
     """
-    _m0, _a, degs = xm1_factor_degrees(q, m)
-    Omega = 1 << sum(cnt for _deg, cnt in degs)
+    Omega = 1 << len(factor_xm1(q, m).degrees)
     part = partial_factorize_qm_minus_1(q, m, PARTIAL_RHO_ITERS, cache=cache)
     W = 1 << part.omega_bound()
     unsplit = part.unsplit
@@ -185,7 +184,7 @@ def sieve_report(q, m, d, g="all", cache=None) -> SieveReport:
     if d < 1 or nf.n % d != 0:
         raise ValueError("d must be a positive divisor of q^m - 1")
     pf = factor_xm1(q, m)
-    return _evaluate_config(q, m, nf.primes(), pf.degrees(), d, pf.factor_subset_of(g))
+    return _evaluate_config(q, m, nf.primes(), pf.degrees, d, pf.factor_subset_of(g))
 
 
 def lambda_caseA(q, m_prime) -> Fraction:
@@ -239,18 +238,18 @@ def theta_ratio(q, m) -> ThetaReport:
     coset is longer.  Also reports which bound clause applies (1/2, 3/8, or
     1/3) and whether the computed ratio satisfies it.
     """
-    m0, _a, degs = xm1_factor_degrees(q, m)
-    u = degs[-1][0]
-    M = sum(cnt for deg, cnt in degs if deg < u)
+    pf = factor_xm1(q, m)
+    u = pf.degrees[-1]
+    M = sum(deg < u for deg in pf.degrees)
     theta = Fraction(M, m)
-    g1 = math.gcd(q - 1, m0)
+    g1 = math.gcd(q - 1, pf.m0)
     if m == 2 * g1:
         clause, bound = "m = 2 gcd(q-1, m')", Fraction(1, 2)
     elif m == 4 * g1:
         clause, bound = "m = 4 gcd(q-1, m')", Fraction(3, 8)
     else:
         clause, bound = "otherwise", Fraction(1, 3)
-    return ThetaReport(q, m, m0, u, M, theta, clause, bound, theta <= bound)
+    return ThetaReport(q, m, pf.m0, u, M, theta, clause, bound, theta <= bound)
 
 
 def lemma55_check(q, m):
@@ -261,12 +260,8 @@ def lemma55_check(q, m):
     """
     tr = theta_ratio(q, m)
     applicable = (q - 1) % tr.m_prime != 0
-    rem = []
-    _m0, _a, degs = xm1_factor_degrees(q, m)
-    for deg, cnt in degs:
-        if deg >= tr.u:
-            rem.extend([deg] * cnt)
-    delta, lam = sieve_lambda((), tuple(rem), q)
+    rem = tuple(deg for deg in factor_xm1(q, m).degrees if deg >= tr.u)
+    delta, lam = sieve_lambda((), rem, q)
     return {
         "q": q,
         "m": m,
@@ -333,7 +328,7 @@ def auto_sieve(q, m, cache=None) -> SieveReport:
     (-degree, coeffs) order); both keep earlier reports unchanged.
     """
     primes = factorize_qm_minus_1(q, m, cache=cache).primes()
-    degrees = factor_xm1(q, m).degrees()
+    degrees = factor_xm1(q, m).degrees
     t = len(primes)
     s = len(degrees)
     # factors are sorted by (degree, coeffs), so index order is coeffs order

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -62,9 +63,9 @@ def test_corrupt_cache_exits_2(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == "{truncated"
 
 
-@pytest.mark.parametrize("where", ["tmp-directory", "missing-directory"])
+@pytest.mark.parametrize("where", ["tmp-directory", "missing-directory", "read-only-directory"])
 def test_unwritable_cache_path_is_refused_before_factoring(capsys, monkeypatch, tmp_path, where):
-    # both used to factor n and then exit 1 with a traceback from the cache write
+    # all used to factor n and then exit 1 with a traceback from the cache write
     import ffpn.numtheory as numtheory_mod
 
     def no_trial_division(*args):
@@ -75,9 +76,17 @@ def test_unwritable_cache_path_is_refused_before_factoring(capsys, monkeypatch, 
         path = tmp_path / "c.json"
         (tmp_path / "c.json.tmp").mkdir()
         want = f"error: factor cache {path}: {path}.tmp is a directory\n"
-    else:
+    elif where == "missing-directory":
         path = tmp_path / "missing" / "c.json"
         want = f"error: factor cache {path} is in no existing directory\n"
+    else:
+        path = tmp_path / "c.json"
+        want = f"error: factor cache {path} is in a read-only directory\n"
+        # root may write anywhere, so the directory is made read-only by decree
+        access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda p, *a, **k: os.fspath(p) != str(tmp_path) and access(p, *a, **k)
+        )
     assert main(["--cache", str(path), "factor-int", "--n", "1000001"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == want
@@ -332,6 +341,26 @@ def test_sieve_g_flag_variants(capsys):
 
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
+# (argv, drop) of each frozen request; regenerate the file (only from code
+# already known to be right) with `PYTHONPATH=src python tests/test_cli.py --write`
+GOLDEN_REQUESTS = [
+    (("factor-poly", "--q", "9", "--m", "5"), ()),
+    (("enumerate", "--p", "3", "--r", "2", "--m", "2"), ()),
+    (("count", "--p", "3", "--m", "4", "--a", "1", "--b", "0", "--c", "1",
+      "--e1", "80", "--e2", "80", "--g", "all"), ()),
+    (("witness", "--p", "3", "--r", "2", "--m", "2", "--a", "1", "--b", "1", "--c", "2"), ()),
+    (("--threads", "1", "char-audit", "--p", "3", "--m", "3", "--quadratics", "10"), ()),
+    (("--threads", "1", "resolve-pair", "--q", "3", "--m", "3"), ("elapsed",)),
+    (("check", "--q", "3", "--m", "59"), ()),
+    # auto_sieve's tie orders: t + s = 13 leaves out the highest-index factors,
+    # t + s = 18 and 38 the lowest-index ones; each report differs under the other
+    (("auto-sieve", "--q", "9", "--m", "8"), ()),
+    (("auto-sieve", "--q", "9", "--m", "16"), ()),
+    (("auto-sieve", "--q", "27", "--m", "26"), ()),
+    (("sieve", "--q", "3", "--m", "18", "--d", "14"), ()),
+    # its g are FqPolynomial divisors
+    (("table", "--which", "2"), ()),
+]
 
 
 def golden_stdout(argv, drop=()):
@@ -351,6 +380,33 @@ def golden_stdout(argv, drop=()):
 def test_golden_json_outputs_are_byte_identical():
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         golden = json.load(fh)["requests"]
-    assert len(golden) == 6
+    assert len(golden) == 12
+    assert [(req["argv"], req["drop"]) for req in golden] == [
+        (list(argv), list(drop)) for argv, drop in GOLDEN_REQUESTS
+    ]
     for req in golden:
         assert golden_stdout(req["argv"], req["drop"]) == req["stdout"], req["argv"]
+
+
+def _write():
+    requests = [
+        {"argv": list(argv), "drop": list(drop), "stdout": golden_stdout(argv, drop)}
+        for argv, drop in GOLDEN_REQUESTS
+    ]
+    payload = {
+        "about": "stdout of `ffpn --json <argv>` for each request; the first six frozen "
+        "from the code before the per-tower context refactor, the last six (the "
+        "conditions route) before x^m - 1 was factored into coset data; keys in drop "
+        "vary between runs and are removed before comparing; written by "
+        "`PYTHONPATH=src python tests/test_cli.py --write`",
+        "requests": requests,
+    }
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_cli.py --write")
+    _write()

@@ -16,7 +16,7 @@ from ffpn import gf
 from ffpn.chars import char_context, freeness_indicator
 from ffpn.errors import SizeBudgetExceeded
 from ffpn.fqpoly import (
-    FqPolynomial, factor_xm1, is_g_free, poly_stats, tower_poly, xm1_factor_degrees,
+    FqPolynomial, factor_xm1, is_g_free, poly_stats, tower_poly,
 )
 from ffpn.gf import TABLE_LIMIT, build_extension
 from ffpn.numtheory import divisors_of, factorize, is_prime, multiplicative_stats
@@ -696,8 +696,7 @@ def test_context_mask_bounds_hold_on_every_tabled_field():
         while p**n <= TABLE_LIMIT:
             most_primes = max(most_primes, len(factorize(p**n - 1).primes()))
             for m in divisors_of(n):
-                degrees = xm1_factor_degrees(p ** (n // m), m)[2]
-                most_factors = max(most_factors, sum(count for _deg, count in degrees))
+                most_factors = max(most_factors, len(factor_xm1(p ** (n // m), m).degrees))
             n += 1
     assert most_primes <= 8 and most_factors <= 24
 

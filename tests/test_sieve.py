@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ffpn.errors import DivisibilityViolation
-from ffpn.fqpoly import factor_xm1, xm1_factor_degrees
+from ffpn.fqpoly import factor_xm1
 from ffpn import sieve
 from ffpn.numtheory import FactorCache, PartialFactorization, divisors_of, factorize_qm_minus_1, multiplicative_stats
 from ffpn.sieve import (
@@ -309,10 +309,30 @@ def test_auto_sieve_evaluates_t_plus_1_times_s_plus_1_cores(monkeypatch):
     assert len(calls) == (t + 1) * (s + 1)
 
 
+def test_conditions_build_no_explicit_factor(monkeypatch):
+    # the conditions read only the coset degrees of x^m - 1; building the
+    # factor polynomials of (729, 46) took 6-7 s of one auto_sieve call
+    from ffpn import fqpoly
+
+    def refuse(*args):
+        raise AssertionError("built the base field or a factor polynomial")
+
+    monkeypatch.setattr(fqpoly, "_factors_for_divisor", refuse)
+    monkeypatch.setattr(fqpoly, "small_field", refuse)
+    factor_xm1.cache_clear()
+    for q, m in [(729, 46), (9, 16)]:
+        basic_condition(q, m)
+        best = auto_sieve(q, m)
+        sieve_report(q, m, best.config.d, "all")
+        assert sieve_report(q, m, best.config.d, best.config.g_indices) == best
+        theta_ratio(q, m)
+        lemma55_check(q, m)
+
+
 def exhaustive_auto_sieve(q, m, cache=None):
     """Reference for auto_sieve: all 2^(t+s) cores, first minimum in mask order."""
     primes = factorize_qm_minus_1(q, m, cache=cache).primes()
-    degrees = factor_xm1(q, m).degrees()
+    degrees = factor_xm1(q, m).degrees
     best = best_key = None
     for dmask in range(1 << len(primes)):
         d = math.prod(p for i, p in enumerate(primes) if dmask >> i & 1)
@@ -330,7 +350,7 @@ def audit_auto_sieve(max_ts, cache=None):
     differs from the exhaustive search."""
     checked, differ = [], []
     for q, m in AUDIT_PAIRS:
-        s = sum(cnt for _deg, cnt in xm1_factor_degrees(q, m)[2])
+        s = len(factor_xm1(q, m).degrees)
         if len(factorize_qm_minus_1(q, m, cache=cache).primes()) + s > max_ts:
             continue
         checked.append((q, m))
