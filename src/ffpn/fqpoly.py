@@ -198,8 +198,6 @@ def _element_of_order(tower, d):
 
 def _factors_for_divisor(d, q, p, r, field):
     """Distinct irreducible factors of Phi_d over F_q, sorted."""
-    if d == 1:
-        return [FqPolynomial(field, (field.neg_code(1), 1))]
     orbits = _cosets_mod(d, q % d)
     if len(orbits) == 1:
         return [_int_cyclotomic_mod_p(d, p, field)]

@@ -86,14 +86,18 @@ def _pmul(a, b, p):
 
 
 def _pmod(a, mod, p):
+    """Long division; a step subtracts only mod's nonzero lower terms (3 to 5
+    in a lex-smallest modulus: 4 of 175 for F_{3^174}), and the top term it
+    cancels is dropped with a[dm:]."""
     a = list(a)
     dm = len(mod) - 1
     inv_lead = pow(mod[-1], p - 2, p)
+    tail = [(j - dm, c) for j, c in enumerate(mod[:dm]) if c]
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i] * inv_lead % p
         if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+            for j, mj in tail:
+                a[i + j] = (a[i + j] - c * mj) % p
     return _ptrim(a[:dm])
 
 
@@ -253,13 +257,6 @@ class FieldTower:
         self.Q = p**self.n
         self.N = self.Q - 1
         self.modulus = lex_smallest_irreducible(p, self.n)
-        # x^d mod modulus for d = n .. 2n-2, used by code multiplication
-        self._red = []
-        if self.n > 1:
-            xp = _pmod((0,) * self.n + (1,), self.modulus, p)
-            for _ in range(self.n - 1):
-                self._red.append(xp + (0,) * (self.n - len(xp)))
-                xp = _pmod((0,) + xp, self.modulus, p)
         self._pw = [p**i for i in range(self.n + 1)]
         self.has_tables = False
         self.exp = None
@@ -345,22 +342,8 @@ class FieldTower:
             return 0
         if self.has_tables:
             return int(self.exp[(int(self.log[u]) + int(self.log[v])) % self.N])
-        p = self.p
-        a = self.decode(u)
-        b = self.decode(v)
-        out = [0] * (2 * self.n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        acc = list(out[: self.n])
-        for d in range(self.n, 2 * self.n - 1):
-            c = out[d]
-            if c:
-                red = self._red[d - self.n]
-                for j in range(self.n):
-                    acc[j] = (acc[j] + c * red[j]) % p
-        return self.encode(acc)
+        a, b = self.decode(u), self.decode(v)
+        return self.encode(_pmod(_pmul(a, b, self.p), self.modulus, self.p))
 
     def pow_code(self, u, k):
         if k < 0:
@@ -369,15 +352,7 @@ class FieldTower:
             return 1 if k == 0 else 0
         if self.has_tables:
             return int(self.exp[int(self.log[u]) * (k % self.N) % self.N])
-        k = k % self.N if k else 0
-        result = 1
-        base = u
-        while k:
-            if k & 1:
-                result = self.mul_codes(result, base)
-            base = self.mul_codes(base, base)
-            k >>= 1
-        return result
+        return self.encode(_ppowmod(self.decode(u), k % self.N, self.modulus, self.p))
 
     def inv_code(self, u):
         if u == 0:

@@ -432,7 +432,7 @@ class PartialFactorization:
         return bound
 
 
-def _split_qm_minus_1(q, m, hints, cache, rho_attempts, rho_iters, partial):
+def _split_qm_minus_1(q, m, cache, rho_attempts, rho_iters, partial):
     p, r = prime_power_split(q)
     n = q**m - 1
     if cache is not None:
@@ -443,7 +443,7 @@ def _split_qm_minus_1(q, m, hints, cache, rho_attempts, rho_iters, partial):
     probable = []
     unsplit = [] if partial else None
     for d in divisors_of(r * m):
-        found, prob = _factor(cyclotomic_value(d, p), hints, cache, rho_attempts, rho_iters, unsplit)
+        found, prob = _factor(cyclotomic_value(d, p), None, cache, rho_attempts, rho_iters, unsplit)
         primes_with_mult.extend(found)
         probable.extend(prob)
     unsplit = tuple(unsplit or ())
@@ -455,9 +455,9 @@ def _split_qm_minus_1(q, m, hints, cache, rho_attempts, rho_iters, partial):
     return PartialFactorization(n, tuple(primes_with_mult), tuple(sorted(set(probable))), unsplit)
 
 
-def factorize_qm_minus_1(q, m, hints=None, cache=None):
+def factorize_qm_minus_1(q, m, cache=None):
     """Factor q^m - 1 by splitting into cyclotomic values Phi_d(p), d | rm."""
-    return _split_qm_minus_1(q, m, hints, cache, _RHO_ATTEMPTS, _RHO_MAX_ITER, partial=False).complete()
+    return _split_qm_minus_1(q, m, cache, _RHO_ATTEMPTS, _RHO_MAX_ITER, partial=False).complete()
 
 
 def partial_factorize_qm_minus_1(q, m, rho_iters, cache=None):
@@ -468,7 +468,7 @@ def partial_factorize_qm_minus_1(q, m, rho_iters, cache=None):
     A complete result is cached as factorize_qm_minus_1 caches it; a
     partial one is never stored.
     """
-    return _split_qm_minus_1(q, m, None, cache, 1, rho_iters, partial=True)
+    return _split_qm_minus_1(q, m, cache, 1, rho_iters, partial=True)
 
 
 @dataclass(frozen=True)

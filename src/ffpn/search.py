@@ -468,18 +468,28 @@ def _in_range(v, hi):
 def _read_checkpoint(path, q, m):
     """The checkpoint at path if this kernel wrote it for (q, m), else None.
 
-    A file that is missing or not UTF-8 JSON gives None, as do values out of
-    range: sweep_position must be in [0, Q], probes_done >= 0 and
-    bad_quadratics a list of 3-code lists, each code in [0, Q).
+    A JSON object with q, m and sweep_position is a checkpoint, and one of
+    another sweep (kernel, q or m differs; a missing kernel is the format
+    from before kernels were named) raises ValueError, so resuming leaves it
+    as it is.  A file that is missing, not UTF-8 JSON or short of keys gives
+    None, as do values out of range: sweep_position must be in [0, Q],
+    probes_done >= 0 and bad_quadratics a list of 3-code lists, each code
+    in [0, Q).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    if not isinstance(data, dict) or not CHECKPOINT_KEYS <= set(data):
+    if not isinstance(data, dict):
         return None
-    if data["kernel"] != SWEEP_KERNEL or data["q"] != q or data["m"] != m:
+    if {"q", "m", "sweep_position"} <= set(data):
+        differ = [f"{key} {data.get(key)!r}, not {want!r}"
+                  for key, want in (("kernel", SWEEP_KERNEL), ("q", q), ("m", m))
+                  if data.get(key) != want]
+        if differ:
+            raise ValueError(f"checkpoint {path} is of another sweep: {'; '.join(differ)}")
+    if not CHECKPOINT_KEYS <= set(data):
         return None
     Q, bad = q**m, data["bad_quadratics"]
     ok = _in_range(data["sweep_position"], Q) and _in_range(data["probes_done"], math.inf)
@@ -514,7 +524,8 @@ def resolve_pair(
     before any sweeping, and a checkpoint_path that is a directory, whose
     PATH.tmp (written before each replace) is a directory, or that is in no
     existing directory or in one this process may not write raises
-    ValueError before any table is built, as does characteristic 2.
+    ValueError before any table is built, as do a checkpoint of another
+    sweep (see _read_checkpoint) and characteristic 2.
 
     Only the leading blocks' witness samples reach the report, so those
     blocks sweep in-process, one kernel call each, until witness_samples are
@@ -527,13 +538,13 @@ def resolve_pair(
     p, r = prime_power_split(q)
     if checkpoint_path:
         refuse_unwritable(checkpoint_path, "checkpoint path", ValueError)
+    ck = checkpoint_path and _read_checkpoint(checkpoint_path, q, m)
     # tables are built before forking so workers inherit them
     ctx = _sweep_context(p, r, m)
     tower = ctx.tower
     start = time.monotonic()
     Q = tower.Q
 
-    ck = checkpoint_path and _read_checkpoint(checkpoint_path, q, m)
     sweep_position, probes = (ck["sweep_position"], ck["probes_done"]) if ck else (0, 0)
     bad = [tuple(t) for t in ck["bad_quadratics"]] if ck else []
 

@@ -360,6 +360,9 @@ GOLDEN_REQUESTS = [
     (("sieve", "--q", "3", "--m", "18", "--d", "14"), ()),
     # its g are FqPolynomial divisors
     (("table", "--which", "2"), ()),
+    # explicit factors built in untabled scratch fields F_{3^29} and F_{3^12}
+    (("factor-poly", "--q", "3", "--m", "59"), ()),
+    (("factor-poly", "--q", "81", "--m", "7"), ()),
 ]
 
 
@@ -380,7 +383,7 @@ def golden_stdout(argv, drop=()):
 def test_golden_json_outputs_are_byte_identical():
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         golden = json.load(fh)["requests"]
-    assert len(golden) == 12
+    assert len(golden) == 14
     assert [(req["argv"], req["drop"]) for req in golden] == [
         (list(argv), list(drop)) for argv, drop in GOLDEN_REQUESTS
     ]
@@ -395,9 +398,11 @@ def _write():
     ]
     payload = {
         "about": "stdout of `ffpn --json <argv>` for each request; the first six frozen "
-        "from the code before the per-tower context refactor, the last six (the "
-        "conditions route) before x^m - 1 was factored into coset data; keys in drop "
-        "vary between runs and are removed before comparing; written by "
+        "from the code before the per-tower context refactor, the next six (the "
+        "conditions route) before x^m - 1 was factored into coset data, the last two "
+        "(factor-poly in untabled scratch fields) before untabled field arithmetic went "
+        "through the F_p polynomial helpers; keys in drop vary between runs and are "
+        "removed before comparing; written by "
         "`PYTHONPATH=src python tests/test_cli.py --write`",
         "requests": requests,
     }

@@ -212,6 +212,45 @@ def test_untabled_inverse_matches_tables(p, n):
         assert twout.inv_code(code) == twith.inv_code(code)
 
 
+def _dense_mod(a, mod, p):
+    """Schoolbook long division: subtract c x^s mod, every term of mod, per step."""
+    a = list(a)
+    inv = pow(mod[-1], -1, p)
+    while len(a) >= len(mod):
+        c, s = a[-1] * inv % p, len(a) - len(mod)
+        for j, mj in enumerate(mod):
+            a[s + j] = (a[s + j] - c * mj) % p
+        assert a.pop() == 0
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pmod_equals_dense_long_division(p):
+    rng = random.Random(p)
+    sparse = [gf.lex_smallest_irreducible(p, n) for n in range(1, 8)]
+    # non-monic, every coefficient nonzero: the remainders _pgcd divides by
+    dense = [tuple(rng.randrange(1, p) for _ in range(n + 1)) for n in range(1, 8)]
+    for mod in sparse + dense:
+        for _ in range(60):
+            # untrimmed dividends, as decode gives them, from below mod's degree
+            a = tuple(rng.randrange(p) for _ in range(rng.randrange(2 * len(mod) + 2)))
+            assert gf._pmod(a, mod, p) == _dense_mod(a, mod, p), (a, mod)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
+def test_untabled_products_and_powers_equal_tables(p, n):
+    # untabled codes multiply and power through _pmul, _pmod and _ppowmod
+    twith = T(p, 1, n)
+    twout = T(p, 1, n, tables="off")
+    assert twith.has_tables and not twout.has_tables
+    for u in range(twith.Q):
+        for v in range(twith.Q):
+            assert twout.mul_codes(u, v) == twith.mul_codes(u, v), (u, v)
+            assert twout.pow_code(u, v) == twith.pow_code(u, v), (u, v)
+
+
 def test_trace_check_raises_under_optimization(monkeypatch):
     # the F_p range check is a raise, not an assert that python -O strips
     t = T(3, 1, 3, tables="off")

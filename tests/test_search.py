@@ -389,12 +389,28 @@ def test_budget_cuts_are_frozen_and_resume_to_the_full_sweep(tmp_path, q, m, bud
     assert resumed == full
 
 
-def test_resolve_pair_checkpoint_mismatch_ignored(tmp_path):
-    ck = str(tmp_path / "ck.json")
-    with open(ck, "w", encoding="utf-8") as fh:
-        json.dump({"q": 9, "m": 9, "sweep_position": 3, "bad_quadratics": [], "probes_done": 1}, fh)
-    rep = resolve_pair(3, 2, threads=1, checkpoint_path=ck)
-    assert rep.status == "exception_found" and len(rep.bad_quadratics) == 32
+def _no_sweep_context(*args):
+    raise AssertionError("built sweep tables for a checkpoint of another sweep")
+
+
+def test_resolve_pair_refuses_checkpoint_of_another_pair(capsys, monkeypatch, tmp_path):
+    # a (3,3) run used to overwrite the (3,4) checkpoint, so (3,4) resumed from 0
+    from ffpn.cli import main
+
+    ck = tmp_path / "ck.json"
+    cut = resolve_pair(3, 4, budget=400_000, threads=1, checkpoint_path=str(ck))
+    assert (cut.status, cut.sweep_position) == ("budget_exhausted", 32)
+    written = ck.read_bytes()
+    monkeypatch.setattr(search_mod, "_sweep_context", _no_sweep_context)
+    with pytest.raises(ValueError) as exc:
+        resolve_pair(3, 3, threads=1, checkpoint_path=str(ck))
+    assert str(exc.value) == f"checkpoint {ck} is of another sweep: m 4, not 3"
+    assert main(["--threads", "1", "resolve-pair", "--q", "9", "--m", "2",
+                 "--checkpoint", str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: checkpoint {ck} is of another sweep: q 3, not 9; m 4, not 2\n"
+    assert ck.read_bytes() == written
 
 
 @pytest.mark.parametrize(
@@ -490,17 +506,20 @@ def test_resolve_pair_refuses_oversized_field_before_sweeping(monkeypatch, tmp_p
     assert not ck.exists()
 
 
-def test_resolve_pair_ignores_checkpoint_of_another_kernel(tmp_path):
+def test_resolve_pair_refuses_checkpoint_of_another_kernel(monkeypatch, tmp_path):
     # written before checkpoints carried a kernel id: position 3 counted
-    # a-values, so resuming it as a b' position would drop bad quadratics
-    ck = str(tmp_path / "ck.json")
+    # a-values, so resuming it as a b' position would drop bad quadratics;
+    # it used to be overwritten by a sweep from 0
+    ck = tmp_path / "ck.json"
+    monkeypatch.setattr(search_mod, "_sweep_context", _no_sweep_context)
     stale = {"q": 3, "m": 3, "sweep_position": 3, "bad_quadratics": [], "probes_done": 1}
-    for payload in (stale, dict(stale, kernel="flat")):
-        with open(ck, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        rep = resolve_pair(3, 3, threads=1, checkpoint_path=ck)
-        assert rep.status == "exception_found" and len(rep.bad_quadratics) == 31
-        assert rep.probes_done == 39555
+    for payload, kernel in ((stale, "None"), (dict(stale, kernel="flat"), "'flat'")):
+        ck.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            resolve_pair(3, 3, threads=1, checkpoint_path=str(ck))
+        assert str(exc.value) == (f"checkpoint {ck} is of another sweep: "
+                                  f"kernel {kernel}, not {search_mod.SWEEP_KERNEL!r}")
+        assert json.loads(ck.read_text(encoding="utf-8")) == payload
 
 
 def _quad_value(t, a, b, c, x):
