@@ -479,7 +479,6 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
     fewer than _WEIL_POOL_MIN_TERMS terms run in-process whatever threads
     says.
     """
-    import multiprocessing
     import random as _random
 
     t = tower
@@ -499,6 +498,8 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
             (t.p, t.r, t.m, triples[i : i + size], fs, tol)
             for i in range(0, len(triples), size)
         ]
+        import multiprocessing
+
         mp = multiprocessing.get_context("fork")
         with mp.Pool(threads) as pool:
             results = list(pool.imap(_weil_chunk, chunks))

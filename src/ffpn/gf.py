@@ -40,7 +40,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import NotPrime, SizeBudgetExceeded, ZeroElement
-from .numtheory import factorize, is_prime
+from .numtheory import factorize, factorize_qm_minus_1, is_prime
 
 TABLE_LIMIT = 1 << 24
 BSGS_LIMIT = 1 << 40
@@ -388,8 +388,9 @@ class FieldTower:
     # -- canonical generator and tables ----------------------------------
 
     def n_factorization(self):
+        """N = p^n - 1 factored through its cyclotomic parts Phi_d(p), d | n."""
         if self._nfactors is None:
-            self._nfactors = factorize(self.N)
+            self._nfactors = factorize_qm_minus_1(self.p, self.n)
         return self._nfactors
 
     def find_generator_code(self):

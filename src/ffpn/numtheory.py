@@ -2,10 +2,12 @@
 
 Everything downstream (sieve conditions, primitivity tests, character
 orders) consumes factorizations produced here.  The strategy is fixed and
-deterministic: trial division by all primes up to 10**6, then Brent-cycle
-Pollard rho with a fixed parameter schedule.  Targets of the form q^m - 1
-are split into cyclotomic-polynomial values first, so every hard cofactor
-stays small.
+deterministic: trial division up to 10**6, then Brent-cycle Pollard rho
+with a fixed parameter schedule.  Targets of the form q^m - 1 are split
+into cyclotomic-polynomial values Phi_d(p) first, so every hard cofactor
+stays small, and each part is trial-divided only by 2, the primes of d and
+the numbers 1 (mod lcm(2, d)), which hold all its other primes; any other
+n is trial-divided by every prime.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -294,14 +297,35 @@ def _assemble(n, primes_with_mult, probable):
     return IntFactorization(n=n, factors=factors, probable=tuple(sorted(set(probable))))
 
 
-def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None):
+def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None, order=None):
     """Prime factors of n >= 1, with multiplicity, and the probable ones.
 
-    Trial division by every prime up to TRIAL_LIMIT, then up to rho_attempts
-    Brent-rho attempts of rho_iters iterations on each composite cofactor.
-    A composite that survives them raises UnfactoredCofactor, or, when
+    Trial division up to TRIAL_LIMIT, then up to rho_attempts Brent-rho
+    attempts of rho_iters iterations on each composite cofactor.  A
+    composite that survives them raises UnfactoredCofactor, or, when
     unsplit is a list, is appended to it; its prime factors all exceed
     TRIAL_LIMIT.  Only a complete factorization is stored in cache.
+
+    Trial division walks ascending candidates c, divides each out of what
+    is left, rem, and stops at the first c above min(TRIAL_LIMIT,
+    isqrt(rem)).  With order None the candidates are all primes.  With
+    order d, n is Phi_d(p) for a prime p, and the candidates are 2, the
+    primes of d and 1 + k lcm(2, d), k >= 1; this is bit-identical to the
+    walk over all primes:
+      * every prime P of n is a candidate.  p never divides Phi_d(p), whose
+        constant term is +-1.  If P does not divide d, the order of p mod P
+        is d, so d | P - 1; and P is odd unless d = 1, since an odd p has
+        order 1 mod 2.  So P is 2, a prime of d or 1 (mod lcm(2, d)); and
+        2 and the primes of d are below 1 + lcm(2, d), so the walk is
+        ascending.
+      * a composite candidate c never divides rem: its prime factors are
+        primes of n below c, so they are candidates that were divided out
+        before c.
+      * so both walks divide out the same primes of n in the same order.
+        rem changes only at those, and a walk reaches the next prime P of
+        n iff P <= min(TRIAL_LIMIT, isqrt(rem)), the same test in both.
+    Both therefore end with the same found primes and the same rem, so the
+    unsplit cofactors, omega bounds and cache entries are the same too.
     """
     if cache is not None:
         cached = cache.lookup(n)
@@ -322,12 +346,18 @@ def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None):
             if not certified and h in found:
                 probable.append(h)
 
-    for p in small_primes(isqrt(rem)):
-        if p * p > rem:
+    if order is None:
+        candidates = small_primes(isqrt(rem))
+    else:
+        step = order if order % 2 == 0 else 2 * order  # lcm(2, order)
+        of_order = sorted({2, *(l for l, _ in factorize(order).factors)})
+        candidates = chain(of_order, range(1 + step, TRIAL_LIMIT + 1, step))
+    for c in candidates:
+        if c * c > rem or c > TRIAL_LIMIT:
             break
-        while rem % p == 0:
-            found.append(p)
-            rem //= p
+        while rem % c == 0:
+            found.append(c)
+            rem //= c
 
     left = []
     stack = [rem] if rem > 1 else []
@@ -443,7 +473,7 @@ def _split_qm_minus_1(q, m, cache, rho_attempts, rho_iters, partial):
     probable = []
     unsplit = [] if partial else None
     for d in divisors_of(r * m):
-        found, prob = _factor(cyclotomic_value(d, p), None, cache, rho_attempts, rho_iters, unsplit)
+        found, prob = _factor(cyclotomic_value(d, p), None, cache, rho_attempts, rho_iters, unsplit, d)
         primes_with_mult.extend(found)
         probable.extend(prob)
     unsplit = tuple(unsplit or ())
@@ -463,8 +493,10 @@ def factorize_qm_minus_1(q, m, cache=None):
 def partial_factorize_qm_minus_1(q, m, rho_iters, cache=None):
     """Split q^m - 1 with one rho attempt of rho_iters per composite cofactor.
 
-    Each cyclotomic part is trial-divided as factorize does; a composite
-    cofactor that one attempt (c = 1) does not split stays in unsplit.
+    Each cyclotomic part Phi_d(p) is trial-divided up to TRIAL_LIMIT over
+    2, the primes of d and 1 (mod lcm(2, d)), which finds what a walk over
+    all primes finds (see _factor); a composite cofactor that one attempt
+    (c = 1) does not split stays in unsplit.
     A complete result is cached as factorize_qm_minus_1 caches it; a
     partial one is never stored.
     """

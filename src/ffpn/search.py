@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -579,6 +578,8 @@ def resolve_pair(
     batches = [(p, r, m, ib, min(ib + span, Q)) for ib in range(sweep_position, stop, span)]
     threads = 1 if Q * Q < SWEEP_POOL_MIN_G else min(threads, len(batches))
     if threads > 1:
+        import multiprocessing
+
         fork = multiprocessing.get_context("fork")
         cut = fork.Event()
         pool = fork.Pool(threads, _sweep_worker, (cut,))

@@ -316,3 +316,47 @@ def test_partial_factorization_never_cached(tmp_path):
         json.dump({str(exact.n): [str(p) for p in exact.prime_list()]}, fh)
     again = partial_factorize_qm_minus_1(3, 59, 0, cache=FactorCache(path))
     assert again.unsplit == () and again.complete() == exact
+
+
+def _walk_all_primes(n):
+    """Trial division of n by every prime up to TRIAL_LIMIT, stopping past isqrt."""
+    found = []
+    for p in small_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            found.append(p)
+            n //= p
+    return found, n
+
+
+def test_cyclotomic_trial_division_equals_walk_over_all_primes():
+    # Phi_d(p) trial-divided over 2, the primes of d and 1 (mod lcm(2, d))
+    # keeps the found primes and the remainder of the walk over all primes;
+    # with a rho budget of 0, trial division alone decides
+    ended_unsplit = divided_by_d = 0
+    for p in (2, 3, 5, 7, 131, 4093):
+        for d in range(1, 31):
+            n = cyclotomic_value(d, p)
+            unsplit = []
+            found, _ = numtheory._factor(n, None, None, 0, 0, unsplit, order=d)
+            want, rem = _walk_all_primes(n)
+            rem_is_prime = primality(rem)[0]
+            assert found == want + [rem] * rem_is_prime, (p, d)
+            assert unsplit == [rem] * (rem > 1 and not rem_is_prime), (p, d)
+            ended_unsplit += bool(unsplit)
+            divided_by_d += any(d % l == 0 for l in want)
+    # the audit reaches both ends of the walk and the primes of d
+    assert ended_unsplit > 10 and divided_by_d > 10
+
+
+def test_qm_minus_1_trial_division_never_sieves_past_2_12(monkeypatch):
+    # every part Phi_d(p) of q^m - 1 steps over 1 (mod lcm(2, d)), so the
+    # conditions route never builds the prime table up to TRIAL_LIMIT
+    pairs = [(3**r, m) for r in range(1, 7) for m in range(1, 61) if r * m <= 88]
+    assert len(pairs) == 186
+    monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+    for q, m in pairs + [(27, 53), (243, 35)]:  # the benchmark's pairs and stall pairs
+        pf = partial_factorize_qm_minus_1(q, m, 0)
+        assert math.prod(pf.primes) * math.prod(pf.unsplit) == q**m - 1
+    assert numtheory._small_primes_cache[0] == 1 << 12

@@ -2,8 +2,12 @@
 
     python3 tools/bench_ab.py --base HEAD --number 9 sweep:8 audit:6 conditions:6
 
-Exports BASE with `git archive` into a temporary directory, then for each
-WORKLOAD:PAIRS runs `python3 perfbench/run.py --workload W --seed S
+Exports BASE with `git archive` into <tmp>/base and copies the working
+tree's files (`git ls-files -co --exclude-standard`: tracked ones and
+untracked ones not ignored) into <tmp>/work, so both sides run from paths
+of equal length: copies of one tree at paths of different lengths read
+`peak_rss_mb` up to 1.3 MB apart.  "trees" records both paths.  Then for
+each WORKLOAD:PAIRS runs `python3 perfbench/run.py --workload W --seed S
 --seconds T` PAIRS times on each side, with T the run_seconds of
 BENCHMARK.json, alternating which side goes first and using seed
 S = 1, 2, ... for pair 1, 2, ...  Each side runs its own
@@ -28,6 +32,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +52,19 @@ def export_revision(rev, dest):
     return subprocess.run(
         ["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def copy_working_tree(dest):
+    """Copy the working tree's tracked and unignored untracked files into dest."""
+    names = subprocess.run(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, names):
+        src = os.path.join(ROOT, name)
+        if os.path.isfile(src):  # a tracked file deleted in the working tree stays out
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name))
 
 
 def bench_once(tree, workload, seed, seconds):
@@ -152,8 +170,10 @@ def main(argv=None):
     }
     all_correct = True
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        report["base"] = export_revision(args.base, tmp)
-        trees = {"base": tmp, "work": ROOT}
+        trees = {"base": os.path.join(tmp, "base"), "work": os.path.join(tmp, "work")}
+        report["base"] = export_revision(args.base, trees["base"])
+        copy_working_tree(trees["work"])
+        report["trees"] = trees
         for workload, pairs in plan:
             runs = []
             for pair in range(pairs):
