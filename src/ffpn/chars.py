@@ -31,14 +31,15 @@ import numpy as np
 
 from . import fqpoly, gf
 from .errors import SizeBudgetExceeded, ZeroElement
-from .numtheory import divisors_of, factorize, moebius, multiplicative_stats
+from .numtheory import divisors_of, factorize, moebius_divisors, multiplicative_stats
+from .workers import ordered_map
 
 ENUM_BUDGET = 3**10
 _WEIL_BLOCK_TERMS = 1 << 18  # f rows x Q terms per batched block of the Weil audit
-# smaller audits run in-process: on 2 vCPUs a 2-worker pool broke even near
-# 1.1e7 terms (F729 as F_9^3, 15 quadratics: 0.053 s alone, 0.055 s on 2
-# workers) and won at 1.5e7 (F729 as F_3^6, 5 quadratics: 0.106 s, 0.087 s)
-_WEIL_POOL_MIN_TERMS = 12_000_000
+# smaller audits run in one thread: on 2 vCPUs two threads lost at 3.0e7
+# terms (F729 as F_3^6, 10 quadratics: 0.087 s in one thread, 0.161 s on
+# two) and won at 1.2e8 (40 quadratics: 0.264 s, 0.208 s)
+_WEIL_POOL_MIN_TERMS = 100_000_000
 
 _roots_cache = {}
 
@@ -285,10 +286,7 @@ def freeness_indicator(kind, target, alpha) -> float:
         k = t.dlog_code(code)
         theta = float(multiplicative_stats(factorize(e)).theta)
         total = 0.0 + 0j
-        for d in divisors_of(e):
-            mu = moebius(d)
-            if mu == 0:
-                continue
+        for d, mu in moebius_divisors(e):
             roots = _roots_of_unity(d)
             inner = sum(roots[(j * k) % d] for j in range(d) if gcd(j, d) == 1)
             total += (mu / _phi_int(d)) * inner
@@ -373,7 +371,7 @@ def random_admissible_quadratics(tower, count, rng):
     return out
 
 
-def _weil_chunk(args):
+def _weil_chunk(t, triples, fs, tol):
     """Worker: audit one slice of order triples against a shared f list.
 
     Batched as weil_audit describes, over blocks of at most
@@ -406,8 +404,6 @@ def _weil_chunk(args):
     of the thresholds themselves, and a tol that is not finite makes every
     row a candidate.
     """
-    p, r, m, triples, fs, tol = args
-    t = gf.build_extension(p, r, m)
     ctx = char_context(t)
     bound3 = 3 * math.sqrt(t.Q)
     bound2 = 2 * math.sqrt(t.Q)
@@ -465,7 +461,7 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
     Returns {"worst": row, "violations": [...], "checked": count}; the fully
     trivial triple is excluded (its sum is q^m - #zeros, not bounded).
 
-    The sums are batched, not computed one char_sum at a time: each worker
+    The sums are batched, not computed one char_sum at a time: each chunk
     evaluates every quadratic once, into an (F, Q) code matrix per block of
     f, and per (d1, d2) forms chi1(alpha) chi2(f(alpha)) for the whole block
     in one product, then multiplies in each psi and sums every row in
@@ -474,41 +470,30 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
     through char_sum (_weil_chunk gives the proof); abs_S, margins, the
     worst row and the violations equal those of one char_sum per
     (triple, f), bit for bit.
-    Worker processes split the triple list; the merge is order-independent
-    because each sum is evaluated identically in any partition.  Audits of
-    fewer than _WEIL_POOL_MIN_TERMS terms run in-process whatever threads
-    says.
+    Threads split the triple list and share the tower's character tables;
+    the merge is order-independent because each sum is evaluated
+    identically in any partition.  Audits of fewer than
+    _WEIL_POOL_MIN_TERMS terms run in this thread whatever threads says.
     """
     import random as _random
 
     t = tower
-    char_context(t)  # build before forking
+    char_context(t).delta_orders()  # built once, before any thread starts
     rng = _random.Random(seed)
     fs = random_admissible_quadratics(t, quadratics, rng)
     triples = order_triples(t)
     threads = max(1, min(threads or 1, len(triples)))
     if len(triples) * len(fs) * t.Q < _WEIL_POOL_MIN_TERMS:
         threads = 1
-    if threads == 1:
-        chunks = [(t.p, t.r, t.m, triples, fs, tol)]
-        results = [_weil_chunk(chunks[0])]
-    else:
-        size = (len(triples) + threads - 1) // threads
-        chunks = [
-            (t.p, t.r, t.m, triples[i : i + size], fs, tol)
-            for i in range(0, len(triples), size)
-        ]
-        import multiprocessing
-
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(threads) as pool:
-            results = list(pool.imap(_weil_chunk, chunks))
+    size = -(-len(triples) // threads)
+    parts = [triples[i : i + size] for i in range(0, len(triples), size)]
     worst = None
     violations = []
     checked = 0
-    for w, v, c in results:
-        if w is not None and (worst is None or w["margin"] < worst["margin"]):
-            worst = w
-        violations.extend(v)
-        checked += c
+    with ordered_map(lambda part: _weil_chunk(t, part, fs, tol), parts, threads) as results:
+        for w, v, c in results:
+            if w is not None and (worst is None or w["margin"] < worst["margin"]):
+                worst = w
+            violations.extend(v)
+            checked += c
     return {"worst": worst, "violations": violations, "checked": checked}

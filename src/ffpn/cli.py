@@ -285,7 +285,7 @@ def build_parser():
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--cache", help="factor cache file (default: $FFPN_CACHE)")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
-    ap.add_argument("--threads", type=int, default=os.cpu_count(), help="worker cap for sweeps/audits")
+    ap.add_argument("--threads", type=int, default=os.cpu_count(), help="thread cap for sweeps/audits")
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("factor-int", help="factor n and report omega/W/phi/theta")

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from . import gf
-from .numtheory import divisors_of, factorize, prime_power_split
+from .numtheory import divisors_of, factorize, moebius_divisors, prime_power_split
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +168,7 @@ def _int_cyclotomic_mod_p(d, p, field):
     """Phi_d(x) with integer coefficients reduced mod p, over field."""
     num = FqPolynomial(field, (1,))
     den = FqPolynomial(field, (1,))
-    from .numtheory import moebius
-
-    for e in divisors_of(d):
-        mu = moebius(e)
-        if mu == 0:
-            continue
+    for e, mu in moebius_divisors(d):
         part = x_pow_minus_one(field, d // e)
         if mu == 1:
             num = num * part

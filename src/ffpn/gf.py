@@ -274,8 +274,8 @@ class FieldTower:
 
         The per-tower machinery (TowerPoly, SearchContext, the character
         tables) lives here, keyed by its builder, so a tabled and an
-        untabled tower of one field never share it.  Forked workers inherit
-        it with the tower from build_extension's registry.
+        untabled tower of one field never share it.  Sweep and audit
+        threads share it with the tower; their callers build it first.
         """
         ctx = self._contexts.get(build)
         if ctx is None:

@@ -5,9 +5,9 @@ orders) consumes factorizations produced here.  The strategy is fixed and
 deterministic: trial division up to 10**6, then Brent-cycle Pollard rho
 with a fixed parameter schedule.  Targets of the form q^m - 1 are split
 into cyclotomic-polynomial values Phi_d(p) first, so every hard cofactor
-stays small, and each part is trial-divided only by 2, the primes of d and
-the numbers 1 (mod lcm(2, d)), which hold all its other primes; any other
-n is trial-divided by every prime.
+stays small, and each part with d > 2 is trial-divided only by 2, the
+primes of d and the numbers 1 (mod lcm(2, d)), which hold all its other
+primes; p - 1, p + 1 and any other n are trial-divided by every prime.
 """
 
 from __future__ import annotations
@@ -137,15 +137,22 @@ def divisors_of(n):
     return sorted(divs)
 
 
+def moebius_divisors(n):
+    """(e, mu(e)) for the divisors e of n with mu(e) != 0, ascending: one factorization."""
+    signed = [(1, 1)]
+    for p, _ in factorize(n).factors:
+        signed += [(e * p, -mu) for e, mu in signed]
+    return sorted(signed)
+
+
 def cyclotomic_value(d, x):
     """Phi_d(x) for integer x >= 2, via prod (x^{d/e} - 1)^{mu(e)}."""
     num = 1
     den = 1
-    for e in divisors_of(d):
-        mu = moebius(e)
+    for e, mu in moebius_divisors(d):
         if mu == 1:
             num *= x ** (d // e) - 1
-        elif mu == -1:
+        else:
             den *= x ** (d // e) - 1
     value, rem = divmod(num, den)
     if rem:
@@ -309,9 +316,10 @@ def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None, order=None):
     Trial division walks ascending candidates c, divides each out of what
     is left, rem, and stops at the first c above min(TRIAL_LIMIT,
     isqrt(rem)).  With order None the candidates are all primes.  With
-    order d, n is Phi_d(p) for a prime p, and the candidates are 2, the
+    order d > 2, n is Phi_d(p) for a prime p, and the candidates are 2, the
     primes of d and 1 + k lcm(2, d), k >= 1; this is bit-identical to the
-    walk over all primes:
+    walk over all primes, which orders 1 and 2 take, because for them
+    1 (mod lcm(2, d)) would hold every odd number:
       * every prime P of n is a candidate.  p never divides Phi_d(p), whose
         constant term is +-1.  If P does not divide d, the order of p mod P
         is d, so d | P - 1; and P is odd unless d = 1, since an odd p has
@@ -346,7 +354,7 @@ def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None, order=None):
             if not certified and h in found:
                 probable.append(h)
 
-    if order is None:
+    if order is None or order <= 2:
         candidates = small_primes(isqrt(rem))
     else:
         step = order if order % 2 == 0 else 2 * order  # lcm(2, order)
@@ -493,9 +501,9 @@ def factorize_qm_minus_1(q, m, cache=None):
 def partial_factorize_qm_minus_1(q, m, rho_iters, cache=None):
     """Split q^m - 1 with one rho attempt of rho_iters per composite cofactor.
 
-    Each cyclotomic part Phi_d(p) is trial-divided up to TRIAL_LIMIT over
-    2, the primes of d and 1 (mod lcm(2, d)), which finds what a walk over
-    all primes finds (see _factor); a composite cofactor that one attempt
+    Each cyclotomic part Phi_d(p) is trial-divided up to TRIAL_LIMIT as
+    _factor does it for order d, which finds what a walk over all primes
+    finds; a composite cofactor that one attempt
     (c = 1) does not split stays in unsplit.
     A complete result is cached as factorize_qm_minus_1 caches it; a
     partial one is never stored.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -35,11 +36,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import fqpoly, gf
 from .errors import SizeBudgetExceeded, refuse_unwritable
 from .numtheory import prime_power_split
+from .workers import ordered_map
 
 SWEEP_FIELD_LIMIT = 4096  # largest field resolve_pair sweeps; larger ones are refused
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
-SWEEP_BATCH = 2  # blocks swept as one batch of rows: shares each round's fixed cost
-SWEEP_RUNS_PER_WORKER = 4  # imap chunks of batches per pool worker
+# cover words (rows x words per row) a batch of blocks may hold: wide rounds
+# share their fixed cost and release the GIL for longer, and a large-rad
+# batch stays one block
+SWEEP_BATCH_WORDS = 1 << 16
 # plain-scan probes; the largest fields under SWEEP_FIELD_LIMIT, (3,7) and (2187,1), need 2.09e10
 RESOLVE_BUDGET = 10**11
 # cover rows of this many words or more popcount in one reduce, not word by
@@ -47,7 +51,7 @@ RESOLVE_BUDGET = 10**11
 # and the reduce from 9 (F_563: 0.08 s against 0.12 s) to 35 (F_{3^7}: 0.17 s
 # against 0.23 s), 2 vCPUs
 SWEEP_WIDE_WORDS = 9
-SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in-process: a pool costs more than them
+SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in one thread: two sweep them more slowly
 # checkpoints from another kernel count sweep positions in other units
 SWEEP_KERNEL = "radical-residue-1"
 CHECKPOINT_EVERY = 64  # blocks folded between checkpoint writes
@@ -306,25 +310,22 @@ def _sweep_context(p, r, m):
     return ctx
 
 
-_sweep_cut = None  # in pool workers: the event set once the budget cuts the sweep
+def _batch_blocks(ctx):
+    """Blocks per batch: as many as keep its cover under SWEEP_BATCH_WORDS, at least one."""
+    block_words = SWEEP_BLOCK * (ctx.tower.Q - 1) * -(-ctx.rad // 64)
+    return max(1, SWEEP_BATCH_WORDS // block_words)
 
 
-def _sweep_worker(cut):
-    global _sweep_cut
-    _sweep_cut = cut
-
-
-def _sweep_batch(args):
+def _sweep_batch(ctx, ib0, ib1, cut=None):
     """Worker: sweep b'-positions [ib0, ib1) as one batch of rows.
 
     Returns one (bads, probes) pair per SWEEP_BLOCK block from ib0, in
     order; a block's pair does not depend on which blocks share its batch.
-    Once the sweep is cut it returns [] at once: nothing reads it.
+    Once the event cut is set it returns [] at once: nothing reads it.
     """
-    if _sweep_cut is not None and _sweep_cut.is_set():
+    if cut is not None and cut.is_set():
         return []
-    p, r, m, ib0, ib1 = args
-    return _sweep_kernel(_sweep_context(p, r, m), ib0, ib1)[0]
+    return _sweep_kernel(ctx, ib0, ib1)[0]
 
 
 def _u_logs(tower, ka, bvals):
@@ -527,18 +528,20 @@ def resolve_pair(
     sweep (see _read_checkpoint) and characteristic 2.
 
     Only the leading blocks' witness samples reach the report, so those
-    blocks sweep in-process, one kernel call each, until witness_samples are
-    kept; the rest sweep without samples, SWEEP_BATCH blocks per row batch,
-    through pool.imap in SWEEP_RUNS_PER_WORKER chunks per worker, or one
-    batch at a time in-process.  Fields with fewer than SWEEP_POOL_MIN_G
-    monic g always sweep in-process.  Blocks are folded in one by one, in order,
-    so the report does not depend on threads.
+    blocks sweep in this thread, one kernel call each, until witness_samples
+    are kept; the rest sweep without samples, in batches of _batch_blocks
+    blocks, on `threads` threads of a pool that share ctx, or one batch at
+    a time in this thread.  Fields with fewer than SWEEP_POOL_MIN_G monic g
+    always sweep in this thread.  Blocks are folded in one by one, in
+    order, so the report does not depend on threads.  Once the budget cuts
+    the sweep, batches not started are cancelled and those that start
+    anyway return at once.
     """
     p, r = prime_power_split(q)
     if checkpoint_path:
         refuse_unwritable(checkpoint_path, "checkpoint path", ValueError)
     ck = checkpoint_path and _read_checkpoint(checkpoint_path, q, m)
-    # tables are built before forking so workers inherit them
+    # every table the kernel reads is built here, before any thread starts
     ctx = _sweep_context(p, r, m)
     tower = ctx.tower
     start = time.monotonic()
@@ -574,31 +577,15 @@ def resolve_pair(
     stop = sweep_position if exhausted else Q
     if threads is None:
         threads = os.cpu_count() or 1
-    span = SWEEP_BLOCK * SWEEP_BATCH
-    batches = [(p, r, m, ib, min(ib + span, Q)) for ib in range(sweep_position, stop, span)]
-    threads = 1 if Q * Q < SWEEP_POOL_MIN_G else min(threads, len(batches))
-    if threads > 1:
-        import multiprocessing
-
-        fork = multiprocessing.get_context("fork")
-        cut = fork.Event()
-        pool = fork.Pool(threads, _sweep_worker, (cut,))
-        # as Pool.map sizes its default chunks, which make 4 per worker
-        chunk = -(-len(batches) // (threads * SWEEP_RUNS_PER_WORKER))
-        results = pool.imap(_sweep_batch, batches, chunk)
-    else:
-        results = map(_sweep_batch, batches)
-    try:
+    span = SWEEP_BLOCK * _batch_blocks(ctx)
+    spans = [(ib, min(ib + span, Q)) for ib in range(sweep_position, stop, span)]
+    threads = 1 if Q * Q < SWEEP_POOL_MIN_G else min(threads, len(spans))
+    cut = threading.Event()
+    with ordered_map(lambda ibs: _sweep_batch(ctx, *ibs, cut), spans, threads) as results:
         for blocks in results:
             if not all(map(consume, blocks)):
+                cut.set()
                 break
-    finally:
-        if threads > 1:
-            # let the workers finish on their own: one terminated while it
-            # sends a result leaves the result queue locked and the pool hung
-            cut.set()
-            pool.close()
-            pool.join()
 
     bad.sort(key=lambda t: _sweep_sort_key(tower, t))
     status = ("budget_exhausted" if exhausted

@@ -19,7 +19,8 @@ from ffpn.search import resolve_pair
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_sweep.json")
 
-# (q, m, witness_samples, pool): pool forces the 2-worker pool on any field.
+# (q, m, witness_samples, pool): pool forces the 2-thread pool on any field,
+# one block per batch so that a small field still splits into many batches.
 # (3,3) spans two blocks with the default 10 samples (9 per block);
 # (3,4) with 40 samples draws them from three of its 11 blocks.
 CASES = [
@@ -57,6 +58,7 @@ def test_sweep_reports_are_byte_identical(monkeypatch):
         with monkeypatch.context() as mp:
             if pool:
                 mp.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
+                mp.setattr(search_mod, "SWEEP_BATCH_WORDS", 1)
             got = sweep_report(q, m, samples, pool)
         assert got == golden[case_key(q, m, samples, pool)], (q, m, samples, pool)
 
@@ -79,13 +81,13 @@ def test_golden_sweep_samples_span_blocks(p, r, m, samples, blocks):
 def _write():
     cases = {}
     for q, m, samples, pool in CASES:
-        saved = search_mod.SWEEP_POOL_MIN_G
+        saved = search_mod.SWEEP_POOL_MIN_G, search_mod.SWEEP_BATCH_WORDS
         if pool:
-            search_mod.SWEEP_POOL_MIN_G = 0
+            search_mod.SWEEP_POOL_MIN_G, search_mod.SWEEP_BATCH_WORDS = 0, 1
         try:
             cases[case_key(q, m, samples, pool)] = sweep_report(q, m, samples, pool)
         finally:
-            search_mod.SWEEP_POOL_MIN_G = saved
+            search_mod.SWEEP_POOL_MIN_G, search_mod.SWEEP_BATCH_WORDS = saved
     payload = {
         "about": "resolve_pair(q, m).to_dict() without elapsed, as sorted-key JSON, "
         "frozen from the sweep kernel before its per-round work was cut; "

@@ -275,7 +275,7 @@ def test_factor_cache_rejects_bad_entry(tmp_path, entry):
 def test_cyclotomic_value_refuses_inexact_quotient(monkeypatch):
     from ffpn import numtheory as nt
 
-    monkeypatch.setattr(nt, "moebius", lambda e: -1)
+    monkeypatch.setattr(nt, "moebius_divisors", lambda n: [(e, -1) for e in nt.divisors_of(n)])
     with pytest.raises(ArithmeticError, match="Phi_2"):
         nt.cyclotomic_value(2, 3)
 
@@ -348,6 +348,65 @@ def test_cyclotomic_trial_division_equals_walk_over_all_primes():
             divided_by_d += any(d % l == 0 for l in want)
     # the audit reaches both ends of the walk and the primes of d
     assert ended_unsplit > 10 and divided_by_d > 10
+
+
+def test_cyclotomic_value_equals_the_moebius_product_over_all_divisors():
+    # one factorization of d gives the same Moebius product as factoring
+    # every divisor of d on its own
+    def by_each_divisor(d, x):
+        num = den = 1
+        for e in divisors_of(d):
+            mu = moebius(e)
+            if mu == 1:
+                num *= x ** (d // e) - 1
+            elif mu == -1:
+                den *= x ** (d // e) - 1
+        value, rem = divmod(num, den)
+        assert rem == 0
+        return value
+
+    for x in (2, 3, 5, 131):
+        for d in range(1, 201):
+            assert cyclotomic_value(d, x) == by_each_divisor(d, x), (d, x)
+    assert [(e, mu) for e, mu in numtheory.moebius_divisors(60)] == [
+        (e, moebius(e)) for e in divisors_of(60) if moebius(e)
+    ]
+
+
+def _walk_odd_numbers(n):
+    # the walk Phi_1(p) and Phi_2(p) took before they walked the primes:
+    # 2, then every odd number up to min(TRIAL_LIMIT, isqrt(rem))
+    found = []
+    for c in [2, *range(3, numtheory.TRIAL_LIMIT + 1, 2)]:
+        if c * c > n:
+            break
+        while n % c == 0:
+            found.append(c)
+            n //= c
+    return found, n
+
+
+def test_orders_1_and_2_walk_the_primes_as_the_odd_numbers_did():
+    # p - 1 and p + 1 trial-divided over the primes keep the found primes
+    # and the remainder of the walk over every odd number, the unsplit
+    # cofactor included (rho budget 0)
+    # 24000864002377 - 1 = 2^3 3 1000003 1000033 ends on an unsplit cofactor
+    ps = (3, 5, 7, 131, 4093, 1_000_003, 1_000_000_000_163, 10**12 + 39, 2**61 - 1,
+          24_000_864_002_377)
+    ended_unsplit = 0
+    for p in ps:
+        for d in (1, 2):
+            n = cyclotomic_value(d, p)
+            unsplit = []
+            found, _ = numtheory._factor(n, None, None, 0, 0, unsplit, order=d)
+            want, rem = _walk_odd_numbers(n)
+            rem_is_prime = primality(rem)[0]
+            assert found == want + [rem] * rem_is_prime, (p, d)
+            assert unsplit == [rem] * (rem > 1 and not rem_is_prime), (p, d)
+            ended_unsplit += bool(unsplit)
+    assert ended_unsplit == 1
+    # q = 3^r: the parts Phi_1(3) = 2 and Phi_2(3) = 4
+    assert factorize_qm_minus_1(3, 2).factors == ((2, 3),)
 
 
 def test_qm_minus_1_trial_division_never_sieves_past_2_12(monkeypatch):

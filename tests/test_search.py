@@ -213,25 +213,89 @@ def test_twelve_f3_quadratics_on_f27():
     assert missing == [(1, 1, 2)]
 
 
-@pytest.mark.parametrize("runs_per_worker", [1, 4, 1000])
-def test_resolve_pair_pool_matches_in_process(monkeypatch, runs_per_worker):
+@pytest.mark.parametrize("blocks_per_batch", [1, 4, 1000])
+def test_resolve_pair_pool_matches_in_process(monkeypatch, blocks_per_batch):
     # small fields sweep in-process whatever `threads` says; force the pool.
-    # On 2 workers the 15 batches after the sample block go out 8, 2 or 1
-    # per imap task
+    # On 2 threads the blocks after the sample block go out 1 or 4 per
+    # batch, or all in one batch, which then sweeps in this thread
     monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
-    monkeypatch.setattr(search_mod, "SWEEP_RUNS_PER_WORKER", runs_per_worker)
+    monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: blocks_per_batch)
     r1 = resolve_pair(3, 5, threads=1)
     r2 = resolve_pair(3, 5, threads=2)
     assert r1.to_dict() | {"elapsed": 0} == r2.to_dict() | {"elapsed": 0}
 
 
+def test_pooled_runs_never_fork(monkeypatch):
+    # sweep and audit workers are threads of this process: with fork
+    # refused, forced pools still give the in-process results, and their
+    # work runs off the calling thread
+    import threading
+
+    import ffpn.chars as chars_mod
+
+    def no_fork():
+        raise AssertionError("a pooled run forked")
+
+    sweep_threads, audit_threads = set(), set()
+
+    def spy(fn, seen):
+        def wrapped(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    one = resolve_pair(3, 5, threads=1).to_dict() | {"elapsed": 0}
+    t = build_extension(3, 1, 4)
+    audit = chars_mod.weil_audit(t, quadratics=10, seed=4, threads=1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
+    monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 1)
+    monkeypatch.setattr(search_mod, "_sweep_kernel", spy(search_mod._sweep_kernel, sweep_threads))
+    monkeypatch.setattr(chars_mod, "_WEIL_POOL_MIN_TERMS", 0)
+    monkeypatch.setattr(chars_mod, "_weil_chunk", spy(chars_mod._weil_chunk, audit_threads))
+    assert resolve_pair(3, 5, threads=2).to_dict() | {"elapsed": 0} == one
+    assert chars_mod.weil_audit(t, quadratics=10, seed=4, threads=2) == audit
+    main = threading.get_ident()
+    assert sweep_threads - {main} and audit_threads - {main}
+
+
+def test_small_runs_stay_on_the_calling_thread(monkeypatch):
+    # a sweep under SWEEP_POOL_MIN_G monic g and an audit under
+    # _WEIL_POOL_MIN_TERMS terms start no thread, whatever `threads` says
+    import threading
+
+    import ffpn.chars as chars_mod
+    import ffpn.workers as workers_mod
+
+    calls = []
+    ordered_map = workers_mod.ordered_map
+
+    def counted(fn, items, threads):
+        calls.append(threads)
+        return ordered_map(fn, items, threads)
+
+    monkeypatch.setattr(search_mod, "ordered_map", counted)
+    monkeypatch.setattr(chars_mod, "ordered_map", counted)
+    before = threading.active_count()
+    resolve_pair(3, 5, threads=2)
+    chars_mod.weil_audit(build_extension(3, 1, 5), quadratics=20, seed=1, threads=2)
+    assert calls == [1, 1] and threading.active_count() == before
+
+
+def test_batch_width_follows_the_cover_budget():
+    # (3,7): rad = 2186, 35 words per row, so one block of 8 x 2186 rows
+    # is over the budget alone; (27,2): rad = 182, 3 words per row
+    assert search_mod._batch_blocks(search_mod._sweep_context(3, 1, 7)) == 1
+    assert search_mod._batch_blocks(search_mod._sweep_context(3, 3, 2)) >= 2
+
+
 @pytest.mark.parametrize("p,r,m", [(3, 1, 4), (3, 2, 2), (3, 1, 5)])
 def test_batched_run_equals_single_block_sweeps(p, r, m):
     # a batch's per-block (bads, probes) do not depend on which blocks share
-    # its rows; Q = 81 and 243 end in a ragged block
+    # its rows, at the width the cover budget gives and at narrower ones;
+    # Q = 81 and 243 end in a ragged block
     Q = p ** (r * m)
     step = search_mod.SWEEP_BLOCK
-    span = step * search_mod.SWEEP_BATCH
     ctx = search_mod._sweep_context(p, r, m)
     single = []
     for ib in range(0, Q, step):
@@ -239,36 +303,51 @@ def test_batched_run_equals_single_block_sweeps(p, r, m):
         assert len(blocks) == 1 and samples == []
         single += blocks
 
-    def batches_from(ib0):
+    def batches_from(ib0, span):
         out = []
         for ib in range(ib0, Q, span):
-            out += search_mod._sweep_batch((p, r, m, ib, min(ib + span, Q)))
+            out += search_mod._sweep_batch(ctx, ib, min(ib + span, Q))
         return out
 
-    assert batches_from(0) == single
-    # batches that start mid-sweep, on a block boundary
-    assert batches_from(3 * step) == single[3:]
+    for width in sorted({2, 3, search_mod._batch_blocks(ctx)}):
+        assert batches_from(0, width * step) == single
+        # batches that start mid-sweep, on a block boundary
+        assert batches_from(3 * step, width * step) == single[3:]
 
 
 def test_runs_stop_once_the_sweep_is_cut(monkeypatch):
-    # a budget cut sets the pool's event and joins the pool: batches still
-    # out return at once, so no worker is terminated in the middle of a send
+    # a budget cut sets the sweep's event, then leaving the pool cancels the
+    # batches not started: one that starts in between returns at once
     import threading
 
+    ctx = search_mod._sweep_context(3, 1, 4)
     cut = threading.Event()
-    monkeypatch.setattr(search_mod, "_sweep_cut", cut)
-    assert len(search_mod._sweep_batch((3, 1, 4, 0, 16))) == 2
+    assert len(search_mod._sweep_batch(ctx, 0, 16, cut)) == 2
     cut.set()
-    assert search_mod._sweep_batch((3, 1, 4, 0, 16)) == []
+    assert search_mod._sweep_batch(ctx, 0, 16, cut) == []
+    # resolve_pair hands every batch one event and sets it at the cut
+    cuts = []
+    sweep_batch = search_mod._sweep_batch
+
+    def spy(ctx, ib0, ib1, cut=None):
+        cuts.append(cut)
+        return sweep_batch(ctx, ib0, ib1, cut)
+
+    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
+    monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 1)
+    monkeypatch.setattr(search_mod, "_sweep_batch", spy)
+    rep = resolve_pair(3, 4, budget=400_000, threads=2, witness_samples=0)
+    assert rep.status == "budget_exhausted"
+    assert len({id(c) for c in cuts}) == 1 and cuts[0].is_set()
 
 
 def test_pool_budget_cut_matches_in_process(monkeypatch):
     # the cut lands on the first block whose probes reach the budget, even
-    # inside a pool run of several batches (one run per worker here)
+    # inside a pooled batch of several blocks
     import ffpn.search as search_mod
 
     monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
-    monkeypatch.setattr(search_mod, "SWEEP_RUNS_PER_WORKER", 1)
+    monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 4)
     budget = 400_000
     cut = [resolve_pair(3, 4, budget=budget, threads=t) for t in (1, 2)]
     one, pool = ({k: d[k] for k in ("status", "sweep_position", "probes_done", "bad_quadratics")}
@@ -288,15 +367,19 @@ def test_pool_budget_cut_matches_in_process(monkeypatch):
 
 
 def test_pool_budget_cuts_do_not_hang():
-    # terminating the pool after a cut could kill a worker in the middle of
-    # sending a result, leaving the result queue locked and the pool's exit
-    # hung; 100 such cuts hung 3 runs in 5 before the pool was joined instead
+    # a cut leaves the pool's block, which cancels the batches not started
+    # and joins the threads still sweeping; 80 pooled cuts in a fresh
+    # interpreter must each end with the frozen probe count and leave no
+    # thread behind (a forked pool once hung 3 runs in 5 when terminated)
     code = (
+        "import threading\n"
         "import ffpn.search as s\n"
         "s.SWEEP_POOL_MIN_G = 0\n"
+        "s._batch_blocks = lambda ctx: 1\n"
         "for _ in range(80):\n"
         "    rep = s.resolve_pair(3, 4, budget=400_000, threads=2, witness_samples=0)\n"
         "    assert rep.probes_done == 512_256\n"
+        "    assert threading.active_count() == 1\n"
     )
     src = os.path.dirname(os.path.dirname(search_mod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -305,7 +388,7 @@ def test_pool_budget_cuts_do_not_hang():
 
 def test_killed_sweep_resumes_from_its_checkpoint(tmp_path):
     # the child writes its first checkpoint after 2 blocks, then dies at
-    # once; threads=1, so no forked worker outlives it
+    # once
     ck = str(tmp_path / "ck.json")
     code = (
         "import os, signal, sys\n"
