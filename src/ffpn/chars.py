@@ -10,13 +10,15 @@ absolute trace).
 Every character is a cached table over all Q codes, so a sum is one numpy
 product of table rows.  char_sum accumulates through math.fsum on the real
 and imaginary parts, which is correctly rounded: the result depends only on
-the terms, not on their order or grouping.  weil_audit batches its work
-(each quadratic evaluated once, all of an f-block's terms formed in one
-product per character triple, every row summed by numpy) and fsums again
-only the few rows that a proven bound on numpy's rounding error cannot
-rule out of the result, so it still returns exactly the floats of one
-char_sum per (triple, f).  It draws admissible quadratics: a != 0 and
-b^2 != 4ac, 4 read in F_p (b^2 != ac in char 3, b != 0 in char 2).
+the terms, not on their order or grouping.  weil_audit batches its work:
+each quadratic is evaluated once, and every sum is one entry of a complex
+matrix product A @ B.T, A with a row chi1(alpha) psi(alpha) per (d1, psi)
+and B a row chi2(f(alpha)) per (f, d2), both built and multiplied in
+blocks of bounded size.  It fsums again only the few sums that a proven
+bound on the product's rounding error cannot rule out of the result, so
+it still returns exactly the floats of one char_sum per (triple, f).  It
+draws admissible quadratics: a != 0 and b^2 != 4ac, 4 read in F_p
+(b^2 != ac in char 3, b != 0 in char 2).
 """
 
 from __future__ import annotations
@@ -35,11 +37,16 @@ from .numtheory import divisors_of, factorize, moebius_divisors, multiplicative_
 from .workers import ordered_map
 
 ENUM_BUDGET = 3**10
-_WEIL_BLOCK_TERMS = 1 << 18  # f rows x Q terms per batched block of the Weil audit
-# smaller audits run in one thread: on 2 vCPUs two threads lost at 3.0e7
-# terms (F729 as F_3^6, 10 quadratics: 0.087 s in one thread, 0.161 s on
-# two) and won at 1.2e8 (40 quadratics: 0.264 s, 0.208 s)
-_WEIL_POOL_MIN_TERMS = 100_000_000
+_WEIL_BLOCK_TERMS = 1 << 18  # rows x Q terms per block of the Weil audit's A and B
+# audits of fewer terms run in one thread.  OpenBLAS threads large products
+# itself, and two pool threads multiplying at once contend in it.  On
+# 2 vCPUs (best of 3, one thread against a forced pool of two, three
+# rounds) two threads tied or lost on F_3^6 x 10 quadratics (10-17 ms
+# against 13-17) and F_3^8 x 1 (50-57 against 48-59), and lost on F_3^6 x
+# 40 (22-25 against 29-38), F_3^8 x 4 (156-191 against 185-225) and x 100
+# (3.62 s against 4.85 s).  They won only where blocks hold 4 rows:
+# F_3^10 x 10, 5.4e9 terms, took 6.16 s against 4.99 s.
+_WEIL_POOL_MIN_TERMS = 20_000_000_000
 
 _roots_cache = {}
 
@@ -374,60 +381,87 @@ def random_admissible_quadratics(tower, count, rng):
 def _weil_chunk(t, triples, fs, tol):
     """Worker: audit one slice of order triples against a shared f list.
 
-    Batched as weil_audit describes, over blocks of at most
-    _WEIL_BLOCK_TERMS // Q quadratics: numpy sums every row, and only the
-    rows whose margin could be the smallest or negative are summed again
-    by char_sum, whose floats the result carries.
+    Batched as weil_audit describes: numpy forms every |S| as an entry of
+    A @ B.T, and only the rows whose margin could be the smallest or
+    negative are summed again by char_sum, whose floats the result carries.
+    A has a row chi1(alpha) psi(alpha) per distinct (d1, delta) of the live
+    triples, B a row chi2(f(alpha)) per (f, d2), f-major; both are built
+    and multiplied in blocks of at most _WEIL_BLOCK_TERMS // Q rows (at
+    least 1), and the A blocks are walked back and forth over the B blocks
+    so the A block at each turn is kept, not rebuilt.
 
     Why that is exact.  Let u = 2^-53 and n = Q, 2 <= n <= ENUM_BUDGET,
     so nu < 2^-37.  Every table entry is 0, 1 or a rounded (cos, sin)
-    pair, of modulus at most 1 + 2u, and a term is a product of three
-    entries through two complex multiplies (relative error at most
-    sqrt(5) u each, fused or not), so in either route each component of a
-    term is at most 1 + 12u in modulus and within 5u of the exact
-    product's.  A sum of n such components in any order of n - 1
-    additions, numpy's pairwise order included, is within
-    gamma_(n-1) n (1 + 12u) + 5nu <= 1.0001 (n^2 - n) u + 5nu of the exact
-    sum; fsum, correctly rounded, is within 6.0001 nu; each hypot adds at
-    most 1 ulp of |S| <= 1.5n.  So numpy's |S| and char_sum's differ by
-    at most sqrt(2) (1.0001) (n^2 + 11n) u + 6nu <= 13 n^2 u.  A margin is
-    fl(c - |S|) with c = fl(bound + tol) the same float in both routes, and
-    its rounding adds at most 2u (|c| + 1.5n), so the two margins of one
-    row differ by at most D = 16 u (n^2 + |c|).  Let m' be numpy's
-    margins.  char_sum's smallest margin is at most min m' + D, so a row
-    with m' > min m' + 2D has a margin strictly above the smallest and is
-    neither the worst row nor tied with it, and a row with m' >= D has a
-    margin >= 0 and is no violation.  Every other row is a candidate.  The
-    candidates, folded in (live triple, f) order with the strict < of the
-    per-sum loop, give its worst row (its tie winner included) and its
-    violations in order.  The code doubles D, which absorbs the rounding
-    of the thresholds themselves, and a tol that is not finite makes every
-    row a candidate.
+    pair, of modulus at most 1 + 2u.  Let x be a term's exact product of
+    its three table entries.  char_sum forms it through two complex
+    multiplies (relative error at most sqrt(5) u each, fused or not), so
+    each component of its term is within 5u of x's; fsum, correctly
+    rounded, is then within 6.0001 nu of the exact sum.  Here A's entry
+    a = fl(chi1 psi) is rounded once, so |a b - x| <= sqrt(5) u |x| for
+    B's table entry b, and |a| |b| <= 1 + 9u.  A component of numpy's S is
+    a real dot product of 2n products (Re S sums Re a Re b - Im a Im b,
+    Im S sums Re a Im b + Im a Re b), accumulated in any order, fused or
+    not, as BLAS (zgemm, or zgemv and zdotu for one-row blocks) or numpy's
+    own loop does it: a four-multiply complex product, never a
+    three-multiply one.  Each product then meets at most
+    2n roundings, so the component is within gamma_2n sum |a| |b| <=
+    2.0001 n^2 u of the exact dot product, which is within 2.24 nu of the
+    exact sum of the x.  Each hypot adds at most 1 ulp of |S| <= 1.5n.  So
+    numpy's |S| and char_sum's differ by at most
+    sqrt(2) (2.0001 n^2 + 8.25 n) u + 6nu <= 13 n^2 u for n >= 2.  A
+    margin is fl(c - |S|) with c = fl(bound + tol) the same float in both
+    routes, and its rounding adds at most 2u (|c| + 1.5n), so the two
+    margins of one row differ by at most D = 16 u (n^2 + |c|).  Let m' be
+    numpy's margins.  char_sum's smallest margin is at most min m' + D, so
+    a row with m' > min m' + 2D has a margin strictly above the smallest
+    and is neither the worst row nor tied with it, and a row with m' >= D
+    has a margin >= 0 and is no violation.  Every other row is a
+    candidate.  The candidates, folded in (live triple, f) order with the
+    strict < of the per-sum loop, give its worst row (its tie winner
+    included) and its violations in order.  The code doubles D, which
+    absorbs the rounding of the thresholds themselves, and a tol that is
+    not finite makes every row a candidate.
     """
     ctx = char_context(t)
     bound3 = 3 * math.sqrt(t.Q)
     bound2 = 2 * math.sqrt(t.Q)
     divs = ctx.tp.divisors()
-    live = []
-    for d1, d2, hi in triples:
-        delta = representative_psi(t, hi).delta
-        if d1 > 1 or d2 > 1 or delta:
-            live.append((d1, d2, hi, delta))
+    deltas = {hi: representative_psi(t, hi).delta for hi in {hi for _, _, hi in triples}}
+    live = [(d1, d2, hi, deltas[hi]) for d1, d2, hi in triples if d1 > 1 or d2 > 1 or deltas[hi]]
     if not live or not fs:
         return None, [], 0
-    sums = np.empty((len(live), len(fs)))  # numpy |S| per live triple, in f order
+    a_keys = {key: i for i, key in enumerate(dict.fromkeys((d1, delta) for d1, _, _, delta in live))}
+    d2s = {d2: i for i, d2 in enumerate(dict.fromkeys(d2 for _, d2, _, _ in live))}
+    a_tabs = [(ctx.mult_table(d1, 1 if d1 > 1 else 0), ctx.add_table(delta)) for d1, delta in a_keys]
+    b_tabs = [ctx.mult_table(d2, 1 if d2 > 1 else 0) for d2 in d2s]
+    na, nb = len(a_keys), len(fs) * len(b_tabs)
     rows = max(1, _WEIL_BLOCK_TERMS // t.Q)
-    for lo in range(0, len(fs), rows):
-        fv = np.stack([t.quad_values(*t.quad_codes(f)) for f in fs[lo : lo + rows]])
-        pair = prod = None
-        for li, (d1, d2, _hi, delta) in enumerate(live):
-            if pair != (d1, d2):
-                pair = (d1, d2)
-                chi1 = ctx.mult_table(d1, 1 if d1 > 1 else 0)
-                prod = chi1 * ctx.mult_table(d2, 1 if d2 > 1 else 0)[fv]
-            sums[li, lo : lo + rows] = np.abs((prod * ctx.add_table(delta)).sum(axis=1))
+    a_blk = np.empty((min(rows, na), t.Q), dtype=np.complex128)
+    b_blk = np.empty((min(rows, nb), t.Q), dtype=np.complex128)
+    sums = np.empty((na, nb))  # numpy |S| by (d1, delta) and (f, d2)
+    a_starts = list(range(0, na, rows))
+    held = fi = None
+    for b0 in range(0, nb, rows):
+        b1 = min(b0 + rows, nb)
+        for k in range(b0, b1):
+            i, j = divmod(k, len(b_tabs))
+            if fi != i:
+                fi, fv = i, t.quad_values(*t.quad_codes(fs[i]))
+            np.take(b_tabs[j], fv, out=b_blk[k - b0], mode="clip")
+        for a0 in a_starts:
+            a1 = min(a0 + rows, na)
+            if held != a0:
+                held = a0
+                for k in range(a0, a1):
+                    np.multiply(*a_tabs[k], out=a_blk[k - a0])
+            np.abs(a_blk[: a1 - a0] @ b_blk[: b1 - b0].T, out=sums[a0:a1, b0:b1])
+        a_starts.reverse()  # the next B block starts at the A block held
+    ai = [a_keys[d1, delta] for d1, _, _, delta in live]
+    di = [d2s[d2] for _, d2, _, _ in live]
+    margins = sums.reshape(na, len(fs), len(b_tabs))[ai, :, di]  # (live triple, f)
+    del sums
     limits = np.array([(bound3 if delta else bound2) + tol for *_, delta in live])
-    margins = limits[:, None] - sums
+    np.subtract(limits[:, None], margins, out=margins)
     slack = 32 * 2.0**-53 * (t.Q**2 + float(np.abs(limits).max()))
     cut = float(margins.min()) + 2 * slack  # inf or NaN if tol is not finite
     worst = None
@@ -452,7 +486,7 @@ def _weil_chunk(t, triples, fs, tol):
             }
         if margin < 0:
             violations.append((d1, d2, hi, f, s, bound))
-    return worst, violations, sums.size
+    return worst, violations, margins.size
 
 
 def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
@@ -462,14 +496,15 @@ def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
     trivial triple is excluded (its sum is q^m - #zeros, not bounded).
 
     The sums are batched, not computed one char_sum at a time: each chunk
-    evaluates every quadratic once, into an (F, Q) code matrix per block of
-    f, and per (d1, d2) forms chi1(alpha) chi2(f(alpha)) for the whole block
-    in one product, then multiplies in each psi and sums every row in
-    numpy.  Numpy's |S| is within 13 Q^2 2^-53 of char_sum's, so only the
-    rows whose margin lies that close to the smallest margin or to 0 go
-    through char_sum (_weil_chunk gives the proof); abs_S, margins, the
-    worst row and the violations equal those of one char_sum per
-    (triple, f), bit for bit.
+    evaluates every quadratic once and takes all its sums from blocked
+    complex matrix products, S = (A @ B.T)[(d1, delta), (f, d2)] with
+    A[(d1, delta), alpha] = chi1(alpha) psi_delta(alpha) and
+    B[(f, d2), alpha] = chi2(f(alpha)); no block of A or B holds more than
+    _WEIL_BLOCK_TERMS // Q rows.  Numpy's |S| is within 13 Q^2 2^-53 of
+    char_sum's, so only the rows whose margin lies that close to the
+    smallest margin or to 0 go through char_sum (_weil_chunk gives the
+    proof); abs_S, margins, the worst row and the violations equal those of
+    one char_sum per (triple, f), bit for bit.
     Threads split the triple list and share the tower's character tables;
     the merge is order-independent because each sum is evaluated
     identically in any partition.  Audits of fewer than

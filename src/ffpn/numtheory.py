@@ -3,7 +3,8 @@
 Everything downstream (sieve conditions, primitivity tests, character
 orders) consumes factorizations produced here.  The strategy is fixed and
 deterministic: trial division up to 10**6, then Brent-cycle Pollard rho
-with a fixed parameter schedule.  Targets of the form q^m - 1 are split
+with a fixed parameter schedule.  Targets of the form q^m - 1, whether
+given as (q, m) or as an n >= 10^12 with n + 1 a prime power, are split
 into cyclotomic-polynomial values Phi_d(p) first, so every hard cofactor
 stays small, and each part with d > 2 is trial-divided only by 2, the
 primes of d and the numbers 1 (mod lcm(2, d)), which hold all its other
@@ -400,25 +401,69 @@ def _factor(n, hints, cache, rho_attempts, rho_iters, unsplit=None, order=None):
     return found, probable
 
 
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power_root(n):
+    """(p, k) with n = p^k, p prime and k >= 2, or None.
+
+    A k-th power is an l-th power for each prime l of k, so only prime
+    exponents l <= log2 n are tried, and the first root found is split again.
+    """
+    bits = n.bit_length()
+    for l in small_primes(bits):
+        if l > bits:
+            break
+        r = _iroot(n, l)
+        if r**l == n:
+            inner = _prime_power_root(r)
+            if inner:
+                return inner[0], inner[1] * l
+            return (r, l) if is_prime(r) else None
+    return None
+
+
 def factorize(n, hints=None, cache=None):
     """Factor n completely.
 
     hints: optional iterable of known prime factors (verified, then peeled).
     cache: optional FactorCache consulted first and updated on success.
+    An n = p^k - 1 with p prime and k >= 2 that trial division alone may not
+    finish (n >= TRIAL_LIMIT^2) is split into its cyclotomic parts Phi_d(p),
+    as factorize_qm_minus_1 does, which keeps each hard cofactor small.
     Raises UnfactoredCofactor if a composite survives the rho budget.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return IntFactorization(n=1)
+    if n >= TRIAL_LIMIT**2:
+        root = _prime_power_root(n + 1)
+        if root:
+            split = _split_qm_minus_1(*root, cache, _RHO_ATTEMPTS, _RHO_MAX_ITER, partial=False, hints=hints)
+            return split.complete()
     found, probable = _factor(n, hints, cache, _RHO_ATTEMPTS, _RHO_MAX_ITER)
     return _assemble(n, found, probable)
 
 
 def prime_power_split(q):
-    """Write q = p^r with p prime; raises NotPrime otherwise."""
+    """Write q = p^r with p prime; raises NotPrime otherwise.
+
+    A certified prime q returns before trial division, which would only
+    walk every prime up to min(isqrt(q), TRIAL_LIMIT) in vain.
+    """
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
+    q_prime, certified = primality(q)
+    if q_prime and certified:
+        return q, 1
     for p in small_primes(isqrt(q)):
         if p * p > q:
             break
@@ -431,7 +476,7 @@ def prime_power_split(q):
             if v != 1:
                 raise NotPrime(f"{q} is not a prime power")
             return p, r
-    if not is_prime(q):
+    if not q_prime:
         raise NotPrime(f"{q} is not a prime power")
     return q, 1
 
@@ -470,7 +515,7 @@ class PartialFactorization:
         return bound
 
 
-def _split_qm_minus_1(q, m, cache, rho_attempts, rho_iters, partial):
+def _split_qm_minus_1(q, m, cache, rho_attempts, rho_iters, partial, hints=None):
     p, r = prime_power_split(q)
     n = q**m - 1
     if cache is not None:
@@ -481,7 +526,7 @@ def _split_qm_minus_1(q, m, cache, rho_attempts, rho_iters, partial):
     probable = []
     unsplit = [] if partial else None
     for d in divisors_of(r * m):
-        found, prob = _factor(cyclotomic_value(d, p), None, cache, rho_attempts, rho_iters, unsplit, d)
+        found, prob = _factor(cyclotomic_value(d, p), hints, cache, rho_attempts, rho_iters, unsplit, d)
         primes_with_mult.extend(found)
         probable.extend(prob)
     unsplit = tuple(unsplit or ())

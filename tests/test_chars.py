@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -249,7 +250,9 @@ def _per_sum_weil_audit(t, quadratics, seed, tol):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("block_rows", [1, 3, None])
-@pytest.mark.parametrize("p,r,m", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2)])
+# (3, 2, 2) is F81 over F9: its h-classes lie over q != p, and its 400
+# triples leave ragged A blocks at 1 and 3 rows as well as ragged B blocks
+@pytest.mark.parametrize("p,r,m", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (3, 2, 2)])
 def test_weil_audit_equals_per_sum_reference(monkeypatch, p, r, m, block_rows, threads):
     t = build_extension(p, r, m)
     monkeypatch.setattr(chars, "_WEIL_POOL_MIN_TERMS", 0)  # let threads=2 reach the pool
@@ -299,3 +302,19 @@ def test_weil_audit_fsums_few_rows(monkeypatch):
     audit = weil_audit(build_extension(3, 1, 4), quadratics=20, seed=0)
     assert audit["checked"] == 15_980
     assert len(calls) <= 40
+
+
+def test_weil_audit_holds_one_block_per_operand():
+    # F_{3^8} x 4 has 768 A rows and 96 B rows of 6561 terms, blocked at 39
+    # rows each; the per-triple route that summed one product per character
+    # triple peaked at 5,284,968 traced bytes here, and one unblocked A
+    # operand alone would take 80 MB
+    t = build_extension(3, 1, 8)
+    weil_audit(t, quadratics=4)  # builds and keeps the character tables
+    tracemalloc.start()
+    try:
+        weil_audit(t, quadratics=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_300_000 + 2 * chars._WEIL_BLOCK_TERMS * 16

@@ -24,6 +24,12 @@ def test_factor_int_text(capsys):
     assert "omega = 6" in out
 
 
+def test_factor_int_on_a_prime_power_minus_one(capsys):
+    code, out = run_cli(capsys, "--json", "factor-int", "--n", str(3**86 - 1))
+    assert code == 0
+    assert json.loads(out)["factors"][-2:] == [["380808546861411923", 1], ["82064241848634269407", 1]]
+
+
 def test_factor_int_json_roundtrip(capsys):
     code, out = run_cli(capsys, "--json", "factor-int", "--n", "26")
     assert code == 0

@@ -164,6 +164,29 @@ def test_hints_used():
     assert f.factors == ((p1, 1), (p2, 1))
 
 
+def test_prime_power_split_settles_a_prime_before_trial_division(monkeypatch):
+    # trial division of this prime walked all 78,498 primes below 10^6
+    q = 1000000000163
+    monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+    assert prime_power_split(q) == (q, 1)
+    assert numtheory._small_primes_cache[0] <= 1 << 12
+
+
+def test_factorize_routes_prime_powers_minus_one_through_cyclotomic_parts(tmp_path):
+    # trial division and rho alone gave up on the 38-digit cofactor
+    # 380808546861411923 * 82064241848634269407 of 3^86 - 1
+    n = 3**86 - 1
+    assert factorize(n) == factorize_qm_minus_1(3, 86)
+    cache = FactorCache(str(tmp_path / "cache.json"))
+    assert factorize(n, hints=[431], cache=cache) == factorize_qm_minus_1(3, 86)
+    assert cache.lookup(n) == factorize_qm_minus_1(3, 86)
+    with pytest.raises(ValueError, match="not prime"):
+        factorize(n, hints=[4])
+    # the root search: a prime above TRIAL_LIMIT squared, a power of a composite, a prime exponent
+    assert numtheory._prime_power_root(1000003**2) == (1000003, 2)
+    assert numtheory._prime_power_root(6**4) is None and numtheory._prime_power_root(2**89) == (2, 89)
+
+
 def test_small_primes_sieve():
     sp = small_primes()
     assert sp[:5] == [2, 3, 5, 7, 11]
