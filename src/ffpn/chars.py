@@ -34,19 +34,12 @@ import numpy as np
 from . import fqpoly, gf
 from .errors import SizeBudgetExceeded, ZeroElement
 from .numtheory import divisors_of, factorize, moebius_divisors, multiplicative_stats
-from .workers import ordered_map
 
 ENUM_BUDGET = 3**10
 _WEIL_BLOCK_TERMS = 1 << 18  # rows x Q terms per block of the Weil audit's A and B
-# audits of fewer terms run in one thread.  OpenBLAS threads large products
-# itself, and two pool threads multiplying at once contend in it.  On
-# 2 vCPUs (best of 3, one thread against a forced pool of two, three
-# rounds) two threads tied or lost on F_3^6 x 10 quadratics (10-17 ms
-# against 13-17) and F_3^8 x 1 (50-57 against 48-59), and lost on F_3^6 x
-# 40 (22-25 against 29-38), F_3^8 x 4 (156-191 against 185-225) and x 100
-# (3.62 s against 4.85 s).  They won only where blocks hold 4 rows:
-# F_3^10 x 10, 5.4e9 terms, took 6.16 s against 4.99 s.
-_WEIL_POOL_MIN_TERMS = 20_000_000_000
+# rows per block at least, so products on the largest fields stay square:
+# F_3^10 blocks of 4 rows made the audit rebuild-bound
+_WEIL_MIN_ROWS = 32
 
 _roots_cache = {}
 
@@ -378,17 +371,25 @@ def random_admissible_quadratics(tower, count, rng):
     return out
 
 
-def _weil_chunk(t, triples, fs, tol):
-    """Worker: audit one slice of order triples against a shared f list.
+def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
+    """Check |S| <= 3 q^(m/2) (2 q^(m/2) for trivial psi) over random f.
 
-    Batched as weil_audit describes: numpy forms every |S| as an entry of
-    A @ B.T, and only the rows whose margin could be the smallest or
-    negative are summed again by char_sum, whose floats the result carries.
-    A has a row chi1(alpha) psi(alpha) per distinct (d1, delta) of the live
-    triples, B a row chi2(f(alpha)) per (f, d2), f-major; both are built
-    and multiplied in blocks of at most _WEIL_BLOCK_TERMS // Q rows (at
-    least 1), and the A blocks are walked back and forth over the B blocks
-    so the A block at each turn is kept, not rebuilt.
+    Returns {"worst": row, "violations": [...], "checked": count}; the fully
+    trivial triple is excluded (its sum is q^m - #zeros, not bounded).
+    threads is accepted for callers that pass it, and ignored.
+
+    The sums are batched, not computed one char_sum at a time: every
+    quadratic is evaluated once, and every sum is an entry of a complex
+    matrix product, S = (A @ B.T)[(d1, delta), (f, d2)] with
+    A[(d1, delta), alpha] = chi1(alpha) psi_delta(alpha) per distinct
+    (d1, delta) of the live triples and B[(f, d2), alpha] = chi2(f(alpha)),
+    f-major.  Both are built and multiplied in blocks of
+    max(_WEIL_MIN_ROWS, _WEIL_BLOCK_TERMS // Q) rows, and the A blocks are
+    walked back and forth over the B blocks so the A block at each turn is
+    kept, not rebuilt.  Only the rows whose margin could be the smallest or
+    negative are summed again by char_sum, whose floats the result carries:
+    abs_S, margins, the worst row and the violations equal those of one
+    char_sum per (triple, f), bit for bit.
 
     Why that is exact.  Let u = 2^-53 and n = Q, 2 <= n <= ENUM_BUDGET,
     so nu < 2^-37.  Every table entry is 0, 1 or a rounded (cos, sin)
@@ -422,6 +423,11 @@ def _weil_chunk(t, triples, fs, tol):
     absorbs the rounding of the thresholds themselves, and a tol that is
     not finite makes every row a candidate.
     """
+    import random as _random
+
+    t = tower
+    fs = random_admissible_quadratics(t, quadratics, _random.Random(seed))
+    triples = order_triples(t)
     ctx = char_context(t)
     bound3 = 3 * math.sqrt(t.Q)
     bound2 = 2 * math.sqrt(t.Q)
@@ -429,13 +435,13 @@ def _weil_chunk(t, triples, fs, tol):
     deltas = {hi: representative_psi(t, hi).delta for hi in {hi for _, _, hi in triples}}
     live = [(d1, d2, hi, deltas[hi]) for d1, d2, hi in triples if d1 > 1 or d2 > 1 or deltas[hi]]
     if not live or not fs:
-        return None, [], 0
+        return {"worst": None, "violations": [], "checked": 0}
     a_keys = {key: i for i, key in enumerate(dict.fromkeys((d1, delta) for d1, _, _, delta in live))}
     d2s = {d2: i for i, d2 in enumerate(dict.fromkeys(d2 for _, d2, _, _ in live))}
     a_tabs = [(ctx.mult_table(d1, 1 if d1 > 1 else 0), ctx.add_table(delta)) for d1, delta in a_keys]
     b_tabs = [ctx.mult_table(d2, 1 if d2 > 1 else 0) for d2 in d2s]
     na, nb = len(a_keys), len(fs) * len(b_tabs)
-    rows = max(1, _WEIL_BLOCK_TERMS // t.Q)
+    rows = max(_WEIL_MIN_ROWS, _WEIL_BLOCK_TERMS // t.Q)
     a_blk = np.empty((min(rows, na), t.Q), dtype=np.complex128)
     b_blk = np.empty((min(rows, nb), t.Q), dtype=np.complex128)
     sums = np.empty((na, nb))  # numpy |S| by (d1, delta) and (f, d2)
@@ -486,49 +492,4 @@ def _weil_chunk(t, triples, fs, tol):
             }
         if margin < 0:
             violations.append((d1, d2, hi, f, s, bound))
-    return worst, violations, margins.size
-
-
-def weil_audit(tower, quadratics=100, seed=0, tol=1e-6, threads=1):
-    """Check |S| <= 3 q^(m/2) (2 q^(m/2) for trivial psi) over random f.
-
-    Returns {"worst": row, "violations": [...], "checked": count}; the fully
-    trivial triple is excluded (its sum is q^m - #zeros, not bounded).
-
-    The sums are batched, not computed one char_sum at a time: each chunk
-    evaluates every quadratic once and takes all its sums from blocked
-    complex matrix products, S = (A @ B.T)[(d1, delta), (f, d2)] with
-    A[(d1, delta), alpha] = chi1(alpha) psi_delta(alpha) and
-    B[(f, d2), alpha] = chi2(f(alpha)); no block of A or B holds more than
-    _WEIL_BLOCK_TERMS // Q rows.  Numpy's |S| is within 13 Q^2 2^-53 of
-    char_sum's, so only the rows whose margin lies that close to the
-    smallest margin or to 0 go through char_sum (_weil_chunk gives the
-    proof); abs_S, margins, the worst row and the violations equal those of
-    one char_sum per (triple, f), bit for bit.
-    Threads split the triple list and share the tower's character tables;
-    the merge is order-independent because each sum is evaluated
-    identically in any partition.  Audits of fewer than
-    _WEIL_POOL_MIN_TERMS terms run in this thread whatever threads says.
-    """
-    import random as _random
-
-    t = tower
-    char_context(t).delta_orders()  # built once, before any thread starts
-    rng = _random.Random(seed)
-    fs = random_admissible_quadratics(t, quadratics, rng)
-    triples = order_triples(t)
-    threads = max(1, min(threads or 1, len(triples)))
-    if len(triples) * len(fs) * t.Q < _WEIL_POOL_MIN_TERMS:
-        threads = 1
-    size = -(-len(triples) // threads)
-    parts = [triples[i : i + size] for i in range(0, len(triples), size)]
-    worst = None
-    violations = []
-    checked = 0
-    with ordered_map(lambda part: _weil_chunk(t, part, fs, tol), parts, threads) as results:
-        for w, v, c in results:
-            if w is not None and (worst is None or w["margin"] < worst["margin"]):
-                worst = w
-            violations.extend(v)
-            checked += c
-    return {"worst": worst, "violations": violations, "checked": checked}
+    return {"worst": worst, "violations": violations, "checked": margins.size}

@@ -259,7 +259,7 @@ def cmd_char_audit(args):
         raise ValueError(f"--quadratics must be at least 1, not {args.quadratics}")
     t = _tower(args)
     ortho = chars.orthogonality_audit(t)
-    audit = chars.weil_audit(t, quadratics=args.quadratics, seed=args.seed, threads=args.threads or 1)
+    audit = chars.weil_audit(t, quadratics=args.quadratics, seed=args.seed)
     payload = {
         "orthogonality_worst": ortho,
         "weil_checked": audit["checked"],
@@ -285,7 +285,7 @@ def build_parser():
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--cache", help="factor cache file (default: $FFPN_CACHE)")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
-    ap.add_argument("--threads", type=int, default=os.cpu_count(), help="thread cap for sweeps/audits")
+    ap.add_argument("--threads", type=int, default=os.cpu_count(), help="thread cap for sweeps")
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("factor-int", help="factor n and report omega/W/phi/theta")

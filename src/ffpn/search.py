@@ -28,6 +28,7 @@ import math
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import fqpoly, gf
 from .errors import SizeBudgetExceeded, refuse_unwritable
 from .numtheory import prime_power_split
-from .workers import ordered_map
 
 SWEEP_FIELD_LIMIT = 4096  # largest field resolve_pair sweeps; larger ones are refused
 SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
@@ -466,37 +466,71 @@ def _in_range(v, hi):
 
 
 def _read_checkpoint(path, q, m):
-    """The checkpoint at path if this kernel wrote it for (q, m), else None.
+    """The checkpoint at path if this kernel wrote it for (q, m), None if no file is there.
 
-    A JSON object with q, m and sweep_position is a checkpoint, and one of
-    another sweep (kernel, q or m differs; a missing kernel is the format
-    from before kernels were named) raises ValueError, so resuming leaves it
-    as it is.  A file that is missing, not UTF-8 JSON or short of keys gives
-    None, as do values out of range: sweep_position must be in [0, Q],
-    probes_done >= 0 and bad_quadratics a list of 3-code lists, each code
-    in [0, Q).
+    Any other file raises ValueError naming it and the reason, so resuming
+    leaves it as it is: one that is not UTF-8, not JSON or not a JSON
+    object; one of another sweep (with q, m and sweep_position, but a
+    kernel, q or m that differs; a missing kernel is the format from before
+    kernels were named); one short of a key; and one with a value out of
+    range: sweep_position must be in [0, Q], probes_done >= 0 and
+    bad_quadratics a list of 3-code lists, each code in [0, Q).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+    except FileNotFoundError:
         return None
+    except UnicodeDecodeError:
+        raise ValueError(f"checkpoint {path} is not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"checkpoint {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
-        return None
+        raise ValueError(f"checkpoint {path} is not a JSON object")
     if {"q", "m", "sweep_position"} <= set(data):
         differ = [f"{key} {data.get(key)!r}, not {want!r}"
                   for key, want in (("kernel", SWEEP_KERNEL), ("q", q), ("m", m))
                   if data.get(key) != want]
         if differ:
             raise ValueError(f"checkpoint {path} is of another sweep: {'; '.join(differ)}")
-    if not CHECKPOINT_KEYS <= set(data):
-        return None
+    missing = sorted(CHECKPOINT_KEYS - set(data))
+    if missing:
+        raise ValueError(f"checkpoint {path} lacks {', '.join(missing)}")
     Q, bad = q**m, data["bad_quadratics"]
-    ok = _in_range(data["sweep_position"], Q) and _in_range(data["probes_done"], math.inf)
-    ok = ok and isinstance(bad, list) and all(
+    position, probes = data["sweep_position"], data["probes_done"]
+    if not _in_range(position, Q):
+        reason = f"sweep_position {position!r} is not an integer in [0, {Q}]"
+    elif not _in_range(probes, math.inf):
+        reason = f"probes_done {probes!r} is not an integer >= 0"
+    elif not (isinstance(bad, list) and all(
         isinstance(f, list) and len(f) == 3 and all(_in_range(x, Q - 1) for x in f) for f in bad
-    )
-    return data if ok else None
+    )):
+        reason = f"bad_quadratics is not a list of three codes in [0, {Q})"
+    else:
+        return data
+    raise ValueError(f"checkpoint {path} is out of range: {reason}")
+
+
+@contextmanager
+def _ordered_map(fn, items, threads):
+    """Yield an iterator of fn(item) over items, in order, on `threads` threads.
+
+    The workers are threads of this process: they share the tower registry
+    and every context built on it, so nothing is forked, copied or
+    inherited.  Under two threads it maps lazily in this thread.  Leaving
+    the block cancels the items no thread has started and joins the running
+    ones.
+    """
+    if threads < 2:
+        yield map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imported only where a pool starts
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        yield pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def resolve_pair(
@@ -524,8 +558,8 @@ def resolve_pair(
     before any sweeping, and a checkpoint_path that is a directory, whose
     PATH.tmp (written before each replace) is a directory, or that is in no
     existing directory or in one this process may not write raises
-    ValueError before any table is built, as do a checkpoint of another
-    sweep (see _read_checkpoint) and characteristic 2.
+    ValueError before any table is built, as do a checkpoint file that
+    cannot be resumed (see _read_checkpoint) and characteristic 2.
 
     Only the leading blocks' witness samples reach the report, so those
     blocks sweep in this thread, one kernel call each, until witness_samples
@@ -581,7 +615,7 @@ def resolve_pair(
     spans = [(ib, min(ib + span, Q)) for ib in range(sweep_position, stop, span)]
     threads = 1 if Q * Q < SWEEP_POOL_MIN_G else min(threads, len(spans))
     cut = threading.Event()
-    with ordered_map(lambda ibs: _sweep_batch(ctx, *ibs, cut), spans, threads) as results:
+    with _ordered_map(lambda ibs: _sweep_batch(ctx, *ibs, cut), spans, threads) as results:
         for blocks in results:
             if not all(map(consume, blocks)):
                 cut.set()

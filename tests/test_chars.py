@@ -2,8 +2,10 @@ import cmath
 import functools
 import math
 import random
+import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ffpn import chars
@@ -159,14 +161,6 @@ def test_enumeration_budget_guard():
         char_context(t)
 
 
-def test_weil_audit_threads_consistent(monkeypatch):
-    monkeypatch.setattr(chars, "_WEIL_POOL_MIN_TERMS", 0)  # let threads=2 reach the pool
-    t = build_extension(3, 1, 2)
-    assert weil_audit(t, quadratics=10, seed=4, threads=1) == weil_audit(
-        t, quadratics=10, seed=4, threads=2
-    )
-
-
 def test_add_char_eval_matches_table():
     t = build_extension(3, 1, 2)
     ctx = char_context(t)
@@ -248,6 +242,7 @@ def _per_sum_weil_audit(t, quadratics, seed, tol):
     return {"worst": worst, "violations": violations, "checked": checked}
 
 
+# weil_audit accepts threads and ignores it, so both values give the reference
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 # (3, 2, 2) is F81 over F9: its h-classes lie over q != p, and its 400
@@ -255,10 +250,10 @@ def _per_sum_weil_audit(t, quadratics, seed, tol):
 @pytest.mark.parametrize("p,r,m", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (3, 2, 2)])
 def test_weil_audit_equals_per_sum_reference(monkeypatch, p, r, m, block_rows, threads):
     t = build_extension(p, r, m)
-    monkeypatch.setattr(chars, "_WEIL_POOL_MIN_TERMS", 0)  # let threads=2 reach the pool
     if block_rows is not None:
         # 7 quadratics in blocks of 3 leave a ragged last block of 1
         monkeypatch.setattr(chars, "_WEIL_BLOCK_TERMS", block_rows * t.Q + t.Q // 2)
+        monkeypatch.setattr(chars, "_WEIL_MIN_ROWS", 1)
     # on F_25, 20 quadratics of seed 1 leave four rows tied at the smallest
     # margin, and numpy's sums put their first minimum on another row
     cases = [(7, m)] + ([(20, 1)] if (p, r, m) == (5, 1, 2) else [])
@@ -282,16 +277,41 @@ def test_weil_audit_draws_only_admissible_quadratics():
 
 
 def test_weil_audit_small_audit_skips_pool(monkeypatch):
+    # every audit runs in the calling thread, whatever threads says
     def no_pool(*args, **kwargs):
-        raise AssertionError("pool started for a small audit")
+        raise AssertionError("a Weil audit started a thread pool")
 
-    monkeypatch.setattr("multiprocessing.get_context", no_pool)
-    # F27 x 5, and F81 and F243 x 20 on 2 threads as the perfbench audit runs them
-    for m, quadratics in ((3, 5), (4, 20), (5, 20)):
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    # F9 x 10, and F27 x 5, F81 and F243 x 20 as the perfbench audit runs them
+    for m, quadratics, seed in ((2, 10, 4), (3, 5, 1), (4, 20, 1), (5, 20, 1)):
         t = build_extension(3, 1, m)
-        assert weil_audit(t, quadratics=quadratics, seed=1, threads=2) == weil_audit(
-            t, quadratics=quadratics, seed=1
+        assert weil_audit(t, quadratics=quadratics, seed=seed, threads=2) == weil_audit(
+            t, quadratics=quadratics, seed=seed, threads=1
         )
+        assert threading.active_count() == before
+
+
+def test_weil_audit_blocks_hold_at_least_the_row_floor(monkeypatch):
+    # F_{3^9} has 80 A rows (8 d1 x 10 h) and, for one quadratic, 8 B rows
+    # (8 d2); 2^18 // Q alone gave 13-row A blocks, 7 thin products
+    shapes = []
+
+    class RecordingNumpy:
+        """numpy, with abs recording the shape of each block product (given out=)."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, x, out=None):
+            if out is not None:
+                shapes.append(x.shape)
+            return np.abs(x, out=out)
+
+    t = build_extension(3, 1, 9)
+    monkeypatch.setattr(chars, "np", RecordingNumpy())
+    assert weil_audit(t, quadratics=1)["checked"] == len(order_triples(t)) - 1
+    assert chars._WEIL_MIN_ROWS == 32 and shapes == [(32, 8), (32, 8), (16, 8)]
 
 
 def test_weil_audit_fsums_few_rows(monkeypatch):

@@ -262,17 +262,15 @@ def test_resolve_pair_refuses_unwritable_checkpoint_path_before_sweeping(
 
 
 def test_resolve_pair_ignores_non_utf8_checkpoint(capsys, tmp_path):
-    # ignored like corrupt JSON; it exited 2 with "'utf-8' codec can't decode"
+    # refused, no longer ignored: the sweep restarted from 0 over the file
     ck = tmp_path / "ck.json"
     ck.write_bytes(b"\xff\xfe{")
-    code, out = run_cli(
-        capsys, "--json", "--threads", "1",
-        "resolve-pair", "--q", "3", "--m", "2", "--checkpoint", str(ck),
-    )
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["status"] == "exception_found" and len(payload["bad_quadratics"]) == 32
-    assert json.loads(ck.read_text(encoding="utf-8"))["sweep_position"] == 9
+    code = main(["--json", "--threads", "1", "resolve-pair", "--q", "3", "--m", "2",
+                 "--checkpoint", str(ck)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: checkpoint {ck} is not UTF-8\n"
+    assert ck.read_bytes() == b"\xff\xfe{"
 
 
 def test_char_audit_command(capsys):

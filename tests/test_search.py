@@ -226,60 +226,46 @@ def test_resolve_pair_pool_matches_in_process(monkeypatch, blocks_per_batch):
 
 
 def test_pooled_runs_never_fork(monkeypatch):
-    # sweep and audit workers are threads of this process: with fork
-    # refused, forced pools still give the in-process results, and their
-    # work runs off the calling thread
+    # sweep workers are threads of this process: with fork refused, a
+    # forced pool still gives the in-process result, and its work runs off
+    # the calling thread
     import threading
-
-    import ffpn.chars as chars_mod
 
     def no_fork():
         raise AssertionError("a pooled run forked")
 
-    sweep_threads, audit_threads = set(), set()
+    sweep_threads = set()
+    sweep_kernel = search_mod._sweep_kernel
 
-    def spy(fn, seen):
-        def wrapped(*args, **kwargs):
-            seen.add(threading.get_ident())
-            return fn(*args, **kwargs)
-        return wrapped
+    def spy(*args, **kwargs):
+        sweep_threads.add(threading.get_ident())
+        return sweep_kernel(*args, **kwargs)
 
     one = resolve_pair(3, 5, threads=1).to_dict() | {"elapsed": 0}
-    t = build_extension(3, 1, 4)
-    audit = chars_mod.weil_audit(t, quadratics=10, seed=4, threads=1)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
     monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 1)
-    monkeypatch.setattr(search_mod, "_sweep_kernel", spy(search_mod._sweep_kernel, sweep_threads))
-    monkeypatch.setattr(chars_mod, "_WEIL_POOL_MIN_TERMS", 0)
-    monkeypatch.setattr(chars_mod, "_weil_chunk", spy(chars_mod._weil_chunk, audit_threads))
+    monkeypatch.setattr(search_mod, "_sweep_kernel", spy)
     assert resolve_pair(3, 5, threads=2).to_dict() | {"elapsed": 0} == one
-    assert chars_mod.weil_audit(t, quadratics=10, seed=4, threads=2) == audit
-    main = threading.get_ident()
-    assert sweep_threads - {main} and audit_threads - {main}
+    assert sweep_threads - {threading.get_ident()}
 
 
 def test_small_runs_stay_on_the_calling_thread(monkeypatch):
-    # a sweep under SWEEP_POOL_MIN_G monic g and an audit under
-    # _WEIL_POOL_MIN_TERMS terms start no thread, whatever `threads` says
+    # a sweep under SWEEP_POOL_MIN_G monic g starts no thread, whatever
+    # `threads` says
     import threading
 
-    import ffpn.chars as chars_mod
-    import ffpn.workers as workers_mod
-
     calls = []
-    ordered_map = workers_mod.ordered_map
+    ordered_map = search_mod._ordered_map
 
     def counted(fn, items, threads):
         calls.append(threads)
         return ordered_map(fn, items, threads)
 
-    monkeypatch.setattr(search_mod, "ordered_map", counted)
-    monkeypatch.setattr(chars_mod, "ordered_map", counted)
+    monkeypatch.setattr(search_mod, "_ordered_map", counted)
     before = threading.active_count()
     resolve_pair(3, 5, threads=2)
-    chars_mod.weil_audit(build_extension(3, 1, 5), quadratics=20, seed=1, threads=2)
-    assert calls == [1, 1] and threading.active_count() == before
+    assert calls == [1] and threading.active_count() == before
 
 
 def test_batch_width_follows_the_cover_budget():
@@ -473,7 +459,7 @@ def test_budget_cuts_are_frozen_and_resume_to_the_full_sweep(tmp_path, q, m, bud
 
 
 def _no_sweep_context(*args):
-    raise AssertionError("built sweep tables for a checkpoint of another sweep")
+    raise AssertionError("built sweep tables for a checkpoint that is refused")
 
 
 def test_resolve_pair_refuses_checkpoint_of_another_pair(capsys, monkeypatch, tmp_path):
@@ -509,17 +495,41 @@ def test_resolve_pair_refuses_checkpoint_of_another_pair(capsys, monkeypatch, tm
     ids=["position-past-Q", "position-string", "position-negative", "position-bool",
          "probes-negative", "bad-pair"],
 )
-def test_resolve_pair_ignores_checkpoint_with_values_out_of_range(tmp_path, key, value):
-    # resuming these gave a wrong verdict (position 50 of 9 swept nothing) or a traceback
-    ck = str(tmp_path / "ck.json")
+def test_resolve_pair_ignores_checkpoint_with_values_out_of_range(monkeypatch, tmp_path, key, value):
+    # refused, no longer ignored: resuming these gave a wrong verdict
+    # (position 50 of 9 swept nothing) or a traceback, and ignoring them
+    # restarted the sweep from 0 over the file
+    ck = tmp_path / "ck.json"
     fresh = {"kernel": search_mod.SWEEP_KERNEL, "q": 3, "m": 2, "sweep_position": 0,
              "bad_quadratics": [], "probes_done": 0}
-    with open(ck, "w", encoding="utf-8") as fh:
-        json.dump(dict(fresh, **{key: value}), fh)
-    rep = resolve_pair(3, 2, threads=1, checkpoint_path=ck)
-    assert rep.status == "exception_found" and len(rep.bad_quadratics) == 32
-    assert rep.quadratics_checked == 576
-    assert rep.probes_done == resolve_pair(3, 2, threads=1).probes_done
+    ck.write_text(json.dumps(dict(fresh, **{key: value})), encoding="utf-8")
+    written = ck.read_bytes()
+    monkeypatch.setattr(search_mod, "_sweep_context", _no_sweep_context)
+    with pytest.raises(ValueError) as exc:
+        resolve_pair(3, 2, threads=1, checkpoint_path=str(ck))
+    assert str(exc.value).startswith(f"checkpoint {ck} is out of range: {key} ")
+    assert ck.read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (b'{"q": 3', "is not JSON: "),
+        (b"[0, 0]", "is not a JSON object"),
+        (b"{}", "lacks bad_quadratics, kernel, m, probes_done, q, sweep_position"),
+        (json.dumps({"kernel": search_mod.SWEEP_KERNEL, "q": 3, "m": 2, "sweep_position": 0,
+                     "bad_quadratics": []}).encode(), "lacks probes_done"),
+    ],
+    ids=["truncated", "list", "empty-object", "no-probes"],
+)
+def test_resolve_pair_refuses_checkpoint_it_cannot_read(monkeypatch, tmp_path, content, reason):
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(content)
+    monkeypatch.setattr(search_mod, "_sweep_context", _no_sweep_context)
+    with pytest.raises(ValueError) as exc:
+        resolve_pair(3, 2, threads=1, checkpoint_path=str(ck))
+    assert str(exc.value).startswith(f"checkpoint {ck} {reason}")
+    assert ck.read_bytes() == content
 
 
 def test_bad_quadratics_sorted_by_sweep_order():
