@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -41,15 +42,9 @@ _WEIL_BLOCK_TERMS = 1 << 18  # rows x Q terms per block of the Weil audit's A an
 # F_3^10 blocks of 4 rows made the audit rebuild-bound
 _WEIL_MIN_ROWS = 32
 
-_roots_cache = {}
-
-
+@cache
 def _roots_of_unity(d):
-    tab = _roots_cache.get(d)
-    if tab is None:
-        tab = np.exp(2j * np.pi * np.arange(d) / d)
-        _roots_cache[d] = tab
-    return tab
+    return np.exp(2j * np.pi * np.arange(d) / d)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ while p < 256.
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -149,38 +150,27 @@ def is_irreducible(poly, p):
     return True
 
 
-_modulus_cache = {}
-
-
+@cache
 def lex_smallest_irreducible(p, n):
     """Monic irreducible of degree n over F_p with the smallest tail.
 
     Tails are compared as base-p integers (digit i = coefficient of x^i).
     Degree 1 returns x itself, giving F_p with the zero-residue convention.
     """
-    key = (p, n)
-    if key in _modulus_cache:
-        return _modulus_cache[key]
     if n == 1:
-        mod = (0, 1)
-    else:
-        mod = None
-        for k in range(p**n):
-            if k % p == 0:
-                continue
-            digits = []
-            v = k
-            for _ in range(n):
-                digits.append(v % p)
-                v //= p
-            cand = tuple(digits) + (1,)
-            if is_irreducible(cand, p):
-                mod = cand
-                break
-        if mod is None:
-            raise ArithmeticError(f"no monic irreducible of degree {n} over F_{p}")
-    _modulus_cache[key] = mod
-    return mod
+        return (0, 1)
+    for k in range(p**n):
+        if k % p == 0:
+            continue
+        digits = []
+        v = k
+        for _ in range(n):
+            digits.append(v % p)
+            v //= p
+        cand = tuple(digits) + (1,)
+        if is_irreducible(cand, p):
+            return cand
+    raise ArithmeticError(f"no monic irreducible of degree {n} over F_{p}")
 
 
 class FieldElement:

@@ -9,12 +9,15 @@ into cyclotomic-polynomial values Phi_d(p) first, so every hard cofactor
 stays small, and each part with d > 2 is trial-divided only by 2, the
 primes of d and the numbers 1 (mod lcm(2, d)), which hold all its other
 primes; p - 1, p + 1 and any other n are trial-divided by every prime.
+
+Prime powers have one route: prime_power_split and factorize's test of
+n + 1 both find p^k by integer k-th roots (_prime_power_root), at any size
+of p.  The factor cache file is a state file of errors.py, read by
+read_state and written by write_state.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import threading
 import warnings
@@ -25,7 +28,8 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import CorruptCache, FactorMismatch, NotPrime, UnfactoredCofactor, refuse_unwritable
+from .errors import CorruptCache, FactorMismatch, NotPrime, UnfactoredCofactor
+from .errors import read_state, refuse_unwritable, write_state
 
 TRIAL_LIMIT = 10**6
 _SMALL_SIEVE = 1 << 12  # small_primes' first sieve bound
@@ -233,10 +237,11 @@ class FactorCache:
     """JSON-backed factor cache: {"<decimal n>": ["<prime>", ...]}.
 
     Primes are listed with multiplicity in increasing order.  Lookups may
-    happen concurrently; writes are serialized and atomic.  A file that is
-    not such a JSON object, a directory at the path or at the PATH.tmp that
-    writes go through, or a path in a missing or read-only directory raises
-    CorruptCache and is left as it is; an entry whose product is not n or
+    happen concurrently; writes are serialized and atomic (write_state).  A
+    file that is not UTF-8, not JSON or not a JSON object (read_state), a
+    directory at the path or at the PATH.tmp that writes go through, or a
+    path in a missing or read-only directory raises CorruptCache and is
+    left as it is; an entry whose product is not n or
     whose members are not all prime is ignored with a warning that says
     why, and the next store replaces it.
     """
@@ -249,16 +254,7 @@ class FactorCache:
     def _load(self):
         if self._data is None:
             refuse_unwritable(self.path, "factor cache", CorruptCache)
-            try:
-                with open(self.path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except FileNotFoundError:
-                data = {}
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise CorruptCache(f"factor cache {self.path} is not valid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise CorruptCache(f"factor cache {self.path} holds a {type(data).__name__}, not an object")
-            self._data = data
+            self._data = read_state(self.path, "factor cache", CorruptCache) or {}
         return self._data
 
     def _reject(self, n, reason):
@@ -291,10 +287,7 @@ class FactorCache:
         with self._lock:
             data = self._load()
             data[str(n)] = [str(p) for p in prime_list]
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True, indent=0)
-            os.replace(tmp, self.path)
+            write_state(self.path, data, indent=0)
 
 
 def _assemble(n, primes_with_mult, probable):
@@ -456,29 +449,15 @@ def factorize(n, hints=None, cache=None):
 def prime_power_split(q):
     """Write q = p^r with p prime; raises NotPrime otherwise.
 
-    A certified prime q returns before trial division, which would only
-    walk every prime up to min(isqrt(q), TRIAL_LIMIT) in vain.
+    A prime q is settled by the primality test, any other q by the root
+    search, which finds p at any size.
     """
-    if q < 2:
-        raise NotPrime(f"{q} is not a prime power")
-    q_prime, certified = primality(q)
-    if q_prime and certified:
+    if is_prime(q):
         return q, 1
-    for p in small_primes(isqrt(q)):
-        if p * p > q:
-            break
-        if q % p == 0:
-            r = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                r += 1
-            if v != 1:
-                raise NotPrime(f"{q} is not a prime power")
-            return p, r
-    if not q_prime:
+    root = _prime_power_root(q) if q > 1 else None
+    if root is None:
         raise NotPrime(f"{q} is not a prime power")
-    return q, 1
+    return root
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ dlog(g(alpha)) with one gather per g and probe, and the residues a value
 witnesses depend only on its dlog mod rad, so its tables are O(N) long and
 it holds no Q x Q table.  Probes are counted as the plain per-triple scan
 counts them, budget cuts land on deterministic b'-block boundaries
-independent of worker count, and sweeps checkpoint to JSON for resume.
+independent of worker count, and sweeps checkpoint to JSON for resume,
+through the state-file reader and writer of errors.py.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fqpoly, gf
-from .errors import SizeBudgetExceeded, refuse_unwritable
+from .errors import SizeBudgetExceeded, read_state, refuse_unwritable, write_state
 from .numtheory import prime_power_split
 
 SWEEP_FIELD_LIMIT = 4096  # largest field resolve_pair sweeps; larger ones are refused
@@ -51,7 +51,6 @@ RESOLVE_BUDGET = 10**11
 # and the reduce from 9 (F_563: 0.08 s against 0.12 s) to 35 (F_{3^7}: 0.17 s
 # against 0.23 s), 2 vCPUs
 SWEEP_WIDE_WORDS = 9
-SWEEP_POOL_MIN_G = 1 << 17  # fewer monic g sweep in one thread: two sweep them more slowly
 # checkpoints from another kernel count sweep positions in other units
 SWEEP_KERNEL = "radical-residue-1"
 CHECKPOINT_EVERY = 64  # blocks folded between checkpoint writes
@@ -455,10 +454,7 @@ def _write_checkpoint(path, q, m, sweep_position, bad, probes):
         "bad_quadratics": [list(t) for t in bad],
         "probes_done": probes,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    write_state(path, payload)
 
 
 def _in_range(v, hi):
@@ -470,23 +466,15 @@ def _read_checkpoint(path, q, m):
 
     Any other file raises ValueError naming it and the reason, so resuming
     leaves it as it is: one that is not UTF-8, not JSON or not a JSON
-    object; one of another sweep (with q, m and sweep_position, but a
-    kernel, q or m that differs; a missing kernel is the format from before
-    kernels were named); one short of a key; and one with a value out of
-    range: sweep_position must be in [0, Q], probes_done >= 0 and
+    object (read_state); one of another sweep (with q, m and
+    sweep_position, but a kernel, q or m that differs; a missing kernel is
+    the format from before kernels were named); one short of a key; and
+    one with a value out of range: sweep_position must be in [0, Q], probes_done >= 0 and
     bad_quadratics a list of 3-code lists, each code in [0, Q).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
+    data = read_state(path, "checkpoint", ValueError)
+    if data is None:
         return None
-    except UnicodeDecodeError:
-        raise ValueError(f"checkpoint {path} is not UTF-8") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"checkpoint {path} is not JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"checkpoint {path} is not a JSON object")
     if {"q", "m", "sweep_position"} <= set(data):
         differ = [f"{key} {data.get(key)!r}, not {want!r}"
                   for key, want in (("kernel", SWEEP_KERNEL), ("q", q), ("m", m))
@@ -565,9 +553,9 @@ def resolve_pair(
     blocks sweep in this thread, one kernel call each, until witness_samples
     are kept; the rest sweep without samples, in batches of _batch_blocks
     blocks, on `threads` threads of a pool that share ctx, or one batch at
-    a time in this thread.  Fields with fewer than SWEEP_POOL_MIN_G monic g
-    always sweep in this thread.  Blocks are folded in one by one, in
-    order, so the report does not depend on threads.  Once the budget cuts
+    a time in this thread; a sweep of one batch starts no thread.  threads
+    None means os.cpu_count().  Blocks are folded in one by one, in order,
+    so the report does not depend on threads.  Once the budget cuts
     the sweep, batches not started are cancelled and those that start
     anyway return at once.
     """
@@ -613,7 +601,7 @@ def resolve_pair(
         threads = os.cpu_count() or 1
     span = SWEEP_BLOCK * _batch_blocks(ctx)
     spans = [(ib, min(ib + span, Q)) for ib in range(sweep_position, stop, span)]
-    threads = 1 if Q * Q < SWEEP_POOL_MIN_G else min(threads, len(spans))
+    threads = min(threads, len(spans))
     cut = threading.Event()
     with _ordered_map(lambda ibs: _sweep_batch(ctx, *ibs, cut), spans, threads) as results:
         for blocks in results:

@@ -65,7 +65,7 @@ def test_corrupt_cache_exits_2(capsys, tmp_path):
     path = tmp_path / "cache.json"
     path.write_text("{truncated", encoding="utf-8")
     assert main(["--cache", str(path), "check", "--q", "3", "--m", "4"]) == 2
-    assert f"error: factor cache {path} is not valid JSON" in capsys.readouterr().err
+    assert f"error: factor cache {path} is not JSON: " in capsys.readouterr().err
     assert path.read_text(encoding="utf-8") == "{truncated"
 
 
@@ -176,6 +176,13 @@ def test_factor_poly_9_43_exits_0(capsys):
     code, out = run_cli(capsys, "--json", "factor-poly", "--q", "9", "--m", "43")
     assert code == 0
     assert [f["degree"] for f in json.loads(out)["factors"]] == [1, 21, 21]
+
+
+def test_factor_poly_over_the_square_of_a_prime_past_the_trial_limit(capsys):
+    # q = 1000003^2, whose prime is past the trial limit of 10^6
+    code, out = run_cli(capsys, "--json", "factor-poly", "--q", "1000006000009", "--m", "2")
+    assert code == 0
+    assert [f["degree"] for f in json.loads(out)["factors"]] == [1, 1]
 
 
 def test_table_command(capsys):

@@ -19,8 +19,8 @@ from ffpn.search import resolve_pair
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_sweep.json")
 
-# (q, m, witness_samples, pool): pool forces the 2-thread pool on any field,
-# one block per batch so that a small field still splits into many batches.
+# (q, m, witness_samples, pool): pool sweeps on 2 threads with one block per
+# batch, so that a small field still splits into many batches and starts the pool.
 # (3,3) spans two blocks with the default 10 samples (9 per block);
 # (3,4) with 40 samples draws them from three of its 11 blocks.
 CASES = [
@@ -40,26 +40,28 @@ def case_key(q, m, samples, pool):
 
 
 def sweep_report(q, m, samples, pool):
-    """resolve_pair(q, m).to_dict() without elapsed, as JSON text."""
+    """resolve_pair(q, m).to_dict() without elapsed, as JSON text.
+
+    Checking and --write both come here, so both force the pool alike.
+    """
+    saved = search_mod.SWEEP_BATCH_WORDS
     if pool:
-        rep = resolve_pair(q, m, threads=2, witness_samples=samples)
-    else:
-        rep = resolve_pair(q, m, threads=1, witness_samples=samples)
+        search_mod.SWEEP_BATCH_WORDS = 1
+    try:
+        rep = resolve_pair(q, m, threads=2 if pool else 1, witness_samples=samples)
+    finally:
+        search_mod.SWEEP_BATCH_WORDS = saved
     d = rep.to_dict()
     del d["elapsed"]
     return json.dumps(d, sort_keys=True)
 
 
-def test_sweep_reports_are_byte_identical(monkeypatch):
+def test_sweep_reports_are_byte_identical():
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         golden = json.load(fh)["cases"]
     assert sorted(golden) == sorted(case_key(*c) for c in CASES)
     for q, m, samples, pool in CASES:
-        with monkeypatch.context() as mp:
-            if pool:
-                mp.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
-                mp.setattr(search_mod, "SWEEP_BATCH_WORDS", 1)
-            got = sweep_report(q, m, samples, pool)
+        got = sweep_report(q, m, samples, pool)
         assert got == golden[case_key(q, m, samples, pool)], (q, m, samples, pool)
 
 
@@ -81,13 +83,7 @@ def test_golden_sweep_samples_span_blocks(p, r, m, samples, blocks):
 def _write():
     cases = {}
     for q, m, samples, pool in CASES:
-        saved = search_mod.SWEEP_POOL_MIN_G, search_mod.SWEEP_BATCH_WORDS
-        if pool:
-            search_mod.SWEEP_POOL_MIN_G, search_mod.SWEEP_BATCH_WORDS = 0, 1
-        try:
-            cases[case_key(q, m, samples, pool)] = sweep_report(q, m, samples, pool)
-        finally:
-            search_mod.SWEEP_POOL_MIN_G, search_mod.SWEEP_BATCH_WORDS = saved
+        cases[case_key(q, m, samples, pool)] = sweep_report(q, m, samples, pool)
     payload = {
         "about": "resolve_pair(q, m).to_dict() without elapsed, as sorted-key JSON, "
         "frozen from the sweep kernel before its per-round work was cut; "

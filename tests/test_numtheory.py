@@ -138,6 +138,49 @@ def test_prime_power_split():
         prime_power_split(12)
 
 
+def _trial_division_prime_powers(limit):
+    """{q: (p, r)} for every prime power q = p^r below limit, by trial division.
+
+    Every q in [2, limit) is divided by d = 2, 3, ..., isqrt(limit) at once
+    in numpy; the first d that divides q is its least prime p, or p = q when
+    none does, and q is a prime power iff dividing out p leaves 1.
+    """
+    import numpy as np
+
+    q = np.arange(2, limit, dtype=np.int64)
+    least = q.copy()
+    for d in range(2, math.isqrt(limit) + 1):
+        if least[d - 2] == d:  # a composite d divides no q whose least is still q
+            least[(least == q) & (q % d == 0) & (q > d)] = d
+    rest, r = q.copy(), np.zeros_like(q)
+    while (step := rest % least == 0).any():
+        rest[step] //= least[step]
+        r += step
+    keep = rest == 1
+    return dict(zip(q[keep].tolist(), zip(least[keep].tolist(), r[keep].tolist())))
+
+
+def test_prime_power_split_equals_trial_division():
+    limit = 3 * 10**5
+    want = _trial_division_prime_powers(limit)
+    assert want[2] == (2, 1) and want[3**11] == (3, 11) and 12 not in want and len(want) > 26_000
+    for q in range(limit):
+        try:
+            got = prime_power_split(q)
+        except NotPrime:
+            got = None
+        assert got == want.get(q), q
+
+
+@pytest.mark.parametrize("p", [1000003, 10**12 + 39])
+@pytest.mark.parametrize("k", [2, 3])
+def test_prime_power_split_past_the_trial_limit(p, k):
+    # p is past the trial limit of 10^6, so only the root search finds it
+    assert prime_power_split(p**k) == (p, k)
+    with pytest.raises(NotPrime):
+        prime_power_split(p**k * 2)
+
+
 def test_factor_cache_roundtrip(tmp_path):
     path = str(tmp_path / "cache.json")
     cache = FactorCache(path)

@@ -215,10 +215,9 @@ def test_twelve_f3_quadratics_on_f27():
 
 @pytest.mark.parametrize("blocks_per_batch", [1, 4, 1000])
 def test_resolve_pair_pool_matches_in_process(monkeypatch, blocks_per_batch):
-    # small fields sweep in-process whatever `threads` says; force the pool.
-    # On 2 threads the blocks after the sample block go out 1 or 4 per
-    # batch, or all in one batch, which then sweeps in this thread
-    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
+    # (3,5) is one batch at the real width, so it sweeps in this thread:
+    # force the pool.  On 2 threads the blocks after the sample block go out
+    # 1 or 4 per batch, or all in one batch, which then sweeps in this thread
     monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: blocks_per_batch)
     r1 = resolve_pair(3, 5, threads=1)
     r2 = resolve_pair(3, 5, threads=2)
@@ -243,7 +242,6 @@ def test_pooled_runs_never_fork(monkeypatch):
 
     one = resolve_pair(3, 5, threads=1).to_dict() | {"elapsed": 0}
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
     monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 1)
     monkeypatch.setattr(search_mod, "_sweep_kernel", spy)
     assert resolve_pair(3, 5, threads=2).to_dict() | {"elapsed": 0} == one
@@ -251,7 +249,7 @@ def test_pooled_runs_never_fork(monkeypatch):
 
 
 def test_small_runs_stay_on_the_calling_thread(monkeypatch):
-    # a sweep under SWEEP_POOL_MIN_G monic g starts no thread, whatever
+    # (3,5) is one batch at the real width, so it starts no thread, whatever
     # `threads` says
     import threading
 
@@ -319,7 +317,6 @@ def test_runs_stop_once_the_sweep_is_cut(monkeypatch):
         cuts.append(cut)
         return sweep_batch(ctx, ib0, ib1, cut)
 
-    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
     monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 1)
     monkeypatch.setattr(search_mod, "_sweep_batch", spy)
     rep = resolve_pair(3, 4, budget=400_000, threads=2, witness_samples=0)
@@ -332,7 +329,6 @@ def test_pool_budget_cut_matches_in_process(monkeypatch):
     # inside a pooled batch of several blocks
     import ffpn.search as search_mod
 
-    monkeypatch.setattr(search_mod, "SWEEP_POOL_MIN_G", 0)
     monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 4)
     budget = 400_000
     cut = [resolve_pair(3, 4, budget=budget, threads=t) for t in (1, 2)]
@@ -360,7 +356,6 @@ def test_pool_budget_cuts_do_not_hang():
     code = (
         "import threading\n"
         "import ffpn.search as s\n"
-        "s.SWEEP_POOL_MIN_G = 0\n"
         "s._batch_blocks = lambda ctx: 1\n"
         "for _ in range(80):\n"
         "    rep = s.resolve_pair(3, 4, budget=400_000, threads=2, witness_samples=0)\n"
