@@ -182,13 +182,9 @@ def char_context(tower) -> _CharContext:
     return tower.context(_CharContext)
 
 
-def _code_of(tower, alpha):
-    return alpha.code if isinstance(alpha, gf.FieldElement) else tower.coerce(alpha)
-
-
 def mult_char_eval(chi: MultCharacter, alpha) -> complex:
     t = chi.tower
-    code = _code_of(t, alpha)
+    code = t.coerce(alpha)
     if code == 0:
         return 1.0 + 0j if chi.is_trivial else 0j
     k = t.dlog_code(code)
@@ -197,7 +193,7 @@ def mult_char_eval(chi: MultCharacter, alpha) -> complex:
 
 def add_char_eval(psi: AddCharacter, alpha) -> complex:
     t = psi.tower
-    code = _code_of(t, alpha)
+    code = t.coerce(alpha)
     tr = t.trace_abs_code(t.mul_codes(psi.delta, code))
     return cmath.exp(2j * cmath.pi * tr / t.p)
 

@@ -593,11 +593,12 @@ class FieldTower:
         """Codes (a, b, c) of a quadratic.
 
         f is a tuple or list of codes, elements or digit vectors, or an
-        object with FieldElement attributes a, b, c (a QuadraticSpec).
+        object with FieldElement attributes a, b, c (a QuadraticSpec).  An
+        element of another tower raises ValueError.
         """
-        if isinstance(f, (tuple, list)):
-            return tuple(self.coerce(x) for x in f)
-        return f.a.code, f.b.code, f.c.code
+        if not isinstance(f, (tuple, list)):
+            f = f.a, f.b, f.c
+        return tuple(self.coerce(x) for x in f)
 
     def admissible(self, a, b, c):
         """a x^2 + b x + c is not a (x + h)^2: a != 0 and b^2 != 4ac, 4 in F_p.

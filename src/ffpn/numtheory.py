@@ -23,6 +23,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, isqrt, prod
 
@@ -41,9 +42,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
 _MR_PROBABLE_ROUNDS = 64
 
-_small_primes_cache = (1, [])  # (sieve bound, the primes up to it)
-_small_primes_lock = threading.Lock()
-
 
 def _primes_upto(limit):
     """numpy array of the primes <= limit, ascending: a sieve of Eratosthenes."""
@@ -60,22 +58,21 @@ def small_primes(limit=TRIAL_LIMIT):
     and maybe more, so callers stop at their own bound.  With no argument,
     all primes up to TRIAL_LIMIT.
 
-    The sieve runs only as far as callers ask, in two steps: to
-    _SMALL_SIEVE = 2^12 while no limit passes that, enough to trial-divide
-    any n below 2^24 (every tabled field's N), and to TRIAL_LIMIT at the
-    first limit that does.  The list is never sliced: a conditions pass
-    copying 78,498-entry prefixes, or re-sieving by doubling, ended with up
-    to 3 MB more RSS.  It holds Python ints, not numpy scalars, because
+    The sieve runs only as far as callers ask, to one of two bounds, each
+    sieved once: a limit up to _SMALL_SIEVE = 2^12 gets the primes to 2^12,
+    enough to trial-divide any n below 2^24 (every tabled field's N), and
+    any larger limit the primes to TRIAL_LIMIT.  The list is never sliced:
+    a conditions pass copying 78,498-entry prefixes, or re-sieving by
+    doubling, ended with up to 3 MB more RSS.  It holds Python ints, not numpy scalars, because
     trial division takes rem % p on integers far beyond int64.
     """
-    global _small_primes_cache
-    limit = min(limit, TRIAL_LIMIT)
-    if limit > _small_primes_cache[0]:
-        with _small_primes_lock:
-            if limit > _small_primes_cache[0]:
-                bound = _SMALL_SIEVE if limit <= _SMALL_SIEVE else TRIAL_LIMIT
-                _small_primes_cache = (bound, _primes_upto(bound).tolist())
-    return _small_primes_cache[1]
+    return _sieved(_SMALL_SIEVE if limit <= _SMALL_SIEVE else TRIAL_LIMIT)
+
+
+@cache
+def _sieved(bound):
+    """small_primes' list for one of its two bounds, sieved once."""
+    return _primes_upto(bound).tolist()
 
 
 def _miller_rabin_round(n, a, d, s):

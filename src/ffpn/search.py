@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -66,7 +64,8 @@ class QuadraticSpec:
     c: gf.FieldElement
 
     def __post_init__(self):
-        if not self.a.tower.admissible(self.a.code, self.b.code, self.c.code):
+        tower = self.a.tower
+        if not tower.admissible(*tower.quad_codes(self)):
             raise ValueError("inadmissible quadratic: needs a != 0 and b^2 != 4ac")
 
     @classmethod
@@ -305,6 +304,8 @@ def _sweep_context(p, r, m):
     if p ** (r * m) > SWEEP_FIELD_LIMIT:
         raise SizeBudgetExceeded(f"pair sweeps capped at {SWEEP_FIELD_LIMIT} elements")
     ctx = search_context(gf.build_extension(p, r, m))
+    if ctx.rad >= 1 << 15:
+        raise SizeBudgetExceeded(f"pair sweeps count residues in int16: rad {ctx.rad} >= 2^15")
     ctx.pair_tables()
     return ctx
 
@@ -313,18 +314,6 @@ def _batch_blocks(ctx):
     """Blocks per batch: as many as keep its cover under SWEEP_BATCH_WORDS, at least one."""
     block_words = SWEEP_BLOCK * (ctx.tower.Q - 1) * -(-ctx.rad // 64)
     return max(1, SWEEP_BATCH_WORDS // block_words)
-
-
-def _sweep_batch(ctx, ib0, ib1, cut=None):
-    """Worker: sweep b'-positions [ib0, ib1) as one batch of rows.
-
-    Returns one (bads, probes) pair per SWEEP_BLOCK block from ib0, in
-    order; a block's pair does not depend on which blocks share its batch.
-    Once the event cut is set it returns [] at once: nothing reads it.
-    """
-    if cut is not None and cut.is_set():
-        return []
-    return _sweep_kernel(ctx, ib0, ib1)[0]
 
 
 def _u_logs(tower, ka, bvals):
@@ -390,7 +379,7 @@ def _sweep_kernel(ctx, ib0, ib1, want_samples=0):
     # each round writes the new cover into spare, then the two swap
     cover = np.zeros((len(bi), words), dtype=rows.dtype)
     spare = np.empty_like(cover)
-    # counts of uncovered residues; rad <= N < SWEEP_FIELD_LIMIT fits int16
+    # counts of uncovered residues; _sweep_context refuses rad >= 2^15, so they fit int16
     uncovered = np.full(len(bi), rad, dtype=np.int16)
     seen = np.zeros(len(bi), dtype=np.int64)  # per row: uncovered residues summed over rounds
     probes = np.zeros(nb, dtype=np.int64)
@@ -499,28 +488,6 @@ def _read_checkpoint(path, q, m):
     raise ValueError(f"checkpoint {path} is out of range: {reason}")
 
 
-@contextmanager
-def _ordered_map(fn, items, threads):
-    """Yield an iterator of fn(item) over items, in order, on `threads` threads.
-
-    The workers are threads of this process: they share the tower registry
-    and every context built on it, so nothing is forked, copied or
-    inherited.  Under two threads it maps lazily in this thread.  Leaving
-    the block cancels the items no thread has started and joins the running
-    ones.
-    """
-    if threads < 2:
-        yield map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # imported only where a pool starts
-
-    pool = ThreadPoolExecutor(threads)
-    try:
-        yield pool.map(fn, items)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def resolve_pair(
     q,
     m,
@@ -547,7 +514,8 @@ def resolve_pair(
     PATH.tmp (written before each replace) is a directory, or that is in no
     existing directory or in one this process may not write raises
     ValueError before any table is built, as do a checkpoint file that
-    cannot be resumed (see _read_checkpoint) and characteristic 2.
+    cannot be resumed (see _read_checkpoint) and characteristic 2, and so
+    do threads below 1 and a negative budget.
 
     Only the leading blocks' witness samples reach the report, so those
     blocks sweep in this thread, one kernel call each, until witness_samples
@@ -555,10 +523,16 @@ def resolve_pair(
     blocks, on `threads` threads of a pool that share ctx, or one batch at
     a time in this thread; a sweep of one batch starts no thread.  threads
     None means os.cpu_count().  Blocks are folded in one by one, in order,
-    so the report does not depend on threads.  Once the budget cuts
-    the sweep, batches not started are cancelled and those that start
-    anyway return at once.
+    so the report does not depend on threads.  Once the budget cuts the
+    sweep, the pool is shut down: batches not started are cancelled, and
+    those running finish.
     """
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, not {budget}")
     p, r = prime_power_split(q)
     if checkpoint_path:
         refuse_unwritable(checkpoint_path, "checkpoint path", ValueError)
@@ -597,17 +571,22 @@ def resolve_pair(
         samples += got
         consume(block)
     stop = sweep_position if exhausted else Q
-    if threads is None:
-        threads = os.cpu_count() or 1
-    span = SWEEP_BLOCK * _batch_blocks(ctx)
-    spans = [(ib, min(ib + span, Q)) for ib in range(sweep_position, stop, span)]
+    width = SWEEP_BLOCK * _batch_blocks(ctx)
+    spans = [(ib, min(ib + width, Q)) for ib in range(sweep_position, stop, width)]
     threads = min(threads, len(spans))
-    cut = threading.Event()
-    with _ordered_map(lambda ibs: _sweep_batch(ctx, *ibs, cut), spans, threads) as results:
-        for blocks in results:
+    pool, mapper = None, map
+    if threads >= 2:
+        from concurrent.futures import ThreadPoolExecutor  # imported only where a pool starts
+
+        pool = ThreadPoolExecutor(threads)
+        mapper = pool.map
+    try:
+        for blocks in mapper(lambda span: _sweep_kernel(ctx, *span)[0], spans):
             if not all(map(consume, blocks)):
-                cut.set()
                 break
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     bad.sort(key=lambda t: _sweep_sort_key(tower, t))
     status = ("budget_exhausted" if exhausted

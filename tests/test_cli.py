@@ -132,6 +132,30 @@ def test_refused_requests_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("--threads", "0", "resolve-pair", "--q", "3", "--m", "2"), "threads"),
+        (("--threads", "-3", "resolve-pair", "--q", "3", "--m", "2"), "threads"),
+        (("resolve-pair", "--q", "3", "--m", "2", "--budget", "-5"), "budget"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_resolve_pair_refuses_threads_below_1_and_negative_budget(capsys, monkeypatch, argv, name):
+    # refused before any table is built, with the argument named
+    import ffpn.search as search_mod
+
+    def no_tables(*args):
+        raise AssertionError("built a sweep's tables for a refused request")
+
+    monkeypatch.setattr(search_mod, "_sweep_context", no_tables)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be at least ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # codes from Q up name no field element

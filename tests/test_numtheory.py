@@ -207,12 +207,26 @@ def test_hints_used():
     assert f.factors == ((p1, 1), (p2, 1))
 
 
+def _record_sieves(monkeypatch):
+    """Empty small_primes' cache and return the list of bounds sieved from now on."""
+    numtheory._sieved.cache_clear()
+    bounds = []
+    primes_upto = numtheory._primes_upto
+
+    def recorded(limit):
+        bounds.append(limit)
+        return primes_upto(limit)
+
+    monkeypatch.setattr(numtheory, "_primes_upto", recorded)
+    return bounds
+
+
 def test_prime_power_split_settles_a_prime_before_trial_division(monkeypatch):
     # trial division of this prime walked all 78,498 primes below 10^6
     q = 1000000000163
-    monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+    sieved = _record_sieves(monkeypatch)
     assert prime_power_split(q) == (q, 1)
-    assert numtheory._small_primes_cache[0] <= 1 << 12
+    assert all(bound <= 1 << 12 for bound in sieved)
 
 
 def test_factorize_routes_prime_powers_minus_one_through_cyclotomic_parts(tmp_path):
@@ -239,16 +253,16 @@ def test_small_primes_sieve():
 def test_small_primes_sieve_only_as_far_as_asked(monkeypatch):
     # 3^11 - 1 = 2 * 23 * 3851: trial division stops by isqrt(177146) = 420,
     # so a cold factorization sieves to 2^12, not to 10^6
-    monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+    sieved = _record_sieves(monkeypatch)
     assert factorize(3**11 - 1).factors == ((2, 1), (23, 1), (3851, 1))
     assert prime_power_split(3**11) == (3, 11)
-    assert numtheory._small_primes_cache[0] == 1 << 12
+    assert sieved == [1 << 12]
     assert factorize(999_983 * 999_979).factors == ((999_979, 1), (999_983, 1))
-    assert numtheory._small_primes_cache[0] == 10**6
+    assert sieved == [1 << 12, 10**6]
     full = small_primes()
-    assert len(full) == 78498
+    assert len(full) == 78498 and sieved == [1 << 12, 10**6]  # each bound sieved once
     for limit in (0, 1, 2, 3, 420, 4093, 4096, 4097, 10**6 - 1, 10**6, 10**7):
-        monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+        numtheory._sieved.cache_clear()
         primes = small_primes(limit)
         assert primes == full[: len(primes)]  # a prefix of the full list
         assert [p for p in primes if p <= limit] == [p for p in full if p <= limit]
@@ -480,8 +494,8 @@ def test_qm_minus_1_trial_division_never_sieves_past_2_12(monkeypatch):
     # conditions route never builds the prime table up to TRIAL_LIMIT
     pairs = [(3**r, m) for r in range(1, 7) for m in range(1, 61) if r * m <= 88]
     assert len(pairs) == 186
-    monkeypatch.setattr(numtheory, "_small_primes_cache", (1, []))
+    sieved = _record_sieves(monkeypatch)
     for q, m in pairs + [(27, 53), (243, 35)]:  # the benchmark's pairs and stall pairs
         pf = partial_factorize_qm_minus_1(q, m, 0)
         assert math.prod(pf.primes) * math.prod(pf.unsplit) == q**m - 1
-    assert numtheory._small_primes_cache[0] == 1 << 12
+    assert sieved == [1 << 12]

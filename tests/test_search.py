@@ -13,7 +13,9 @@ import pytest
 
 import ffpn.search as search_mod
 from ffpn import gf
-from ffpn.chars import char_context, freeness_indicator
+from ffpn.chars import (
+    AddCharacter, MultCharacter, char_context, char_sum, freeness_indicator, trivial_mult,
+)
 from ffpn.errors import SizeBudgetExceeded
 from ffpn.fqpoly import (
     FqPolynomial, factor_xm1, is_g_free, poly_stats, tower_poly,
@@ -250,20 +252,24 @@ def test_pooled_runs_never_fork(monkeypatch):
 
 def test_small_runs_stay_on_the_calling_thread(monkeypatch):
     # (3,5) is one batch at the real width, so it starts no thread, whatever
-    # `threads` says
+    # `threads` says; at one block per batch it starts one pool of 2 threads
+    import concurrent.futures
     import threading
 
-    calls = []
-    ordered_map = search_mod._ordered_map
+    pools = []
+    executor = concurrent.futures.ThreadPoolExecutor
 
-    def counted(fn, items, threads):
-        calls.append(threads)
-        return ordered_map(fn, items, threads)
+    def spy(threads):
+        pools.append(threads)
+        return executor(threads)
 
-    monkeypatch.setattr(search_mod, "_ordered_map", counted)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
     before = threading.active_count()
-    resolve_pair(3, 5, threads=2)
-    assert calls == [1] and threading.active_count() == before
+    one = resolve_pair(3, 5, threads=2).to_dict() | {"elapsed": 0}
+    assert pools == [] and threading.active_count() == before
+    monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 1)
+    assert resolve_pair(3, 5, threads=2).to_dict() | {"elapsed": 0} == one
+    assert pools == [2] and threading.active_count() == before
 
 
 def test_batch_width_follows_the_cover_budget():
@@ -290,38 +296,13 @@ def test_batched_run_equals_single_block_sweeps(p, r, m):
     def batches_from(ib0, span):
         out = []
         for ib in range(ib0, Q, span):
-            out += search_mod._sweep_batch(ctx, ib, min(ib + span, Q))
+            out += search_mod._sweep_kernel(ctx, ib, min(ib + span, Q))[0]
         return out
 
     for width in sorted({2, 3, search_mod._batch_blocks(ctx)}):
         assert batches_from(0, width * step) == single
         # batches that start mid-sweep, on a block boundary
         assert batches_from(3 * step, width * step) == single[3:]
-
-
-def test_runs_stop_once_the_sweep_is_cut(monkeypatch):
-    # a budget cut sets the sweep's event, then leaving the pool cancels the
-    # batches not started: one that starts in between returns at once
-    import threading
-
-    ctx = search_mod._sweep_context(3, 1, 4)
-    cut = threading.Event()
-    assert len(search_mod._sweep_batch(ctx, 0, 16, cut)) == 2
-    cut.set()
-    assert search_mod._sweep_batch(ctx, 0, 16, cut) == []
-    # resolve_pair hands every batch one event and sets it at the cut
-    cuts = []
-    sweep_batch = search_mod._sweep_batch
-
-    def spy(ctx, ib0, ib1, cut=None):
-        cuts.append(cut)
-        return sweep_batch(ctx, ib0, ib1, cut)
-
-    monkeypatch.setattr(search_mod, "_batch_blocks", lambda ctx: 1)
-    monkeypatch.setattr(search_mod, "_sweep_batch", spy)
-    rep = resolve_pair(3, 4, budget=400_000, threads=2, witness_samples=0)
-    assert rep.status == "budget_exhausted"
-    assert len({id(c) for c in cuts}) == 1 and cuts[0].is_set()
 
 
 def test_pool_budget_cut_matches_in_process(monkeypatch):
@@ -594,6 +575,18 @@ def test_resolve_pair_refuses_oversized_field_before_sweeping(monkeypatch, tmp_p
     assert not ck.exists()
 
 
+def test_resolve_pair_refuses_rad_past_int16(monkeypatch):
+    # the kernel counts uncovered residues in int16; F_32771 has rad = 32770,
+    # so under a raised cap it is refused before the cover rows are sized
+    def no_tables(*args):
+        raise AssertionError("built the pair tables of a field whose rad passes int16")
+
+    monkeypatch.setattr(search_mod, "SWEEP_FIELD_LIMIT", 40_000)
+    monkeypatch.setattr(search_mod.SearchContext, "pair_tables", no_tables)
+    with pytest.raises(SizeBudgetExceeded, match="int16"):
+        resolve_pair(32771, 1, threads=1)
+
+
 def test_resolve_pair_refuses_checkpoint_of_another_kernel(monkeypatch, tmp_path):
     # written before checkpoints carried a kernel id: position 3 counted
     # a-values, so resuming it as a b' position would drop bad quadratics;
@@ -789,6 +782,29 @@ def test_exact_count_refuses_what_find_witness_refuses(f):
         exact_count(t, f, 1, t.N, 1)
     with pytest.raises(ValueError):
         verify_sieve_inequality(t, f, 10, "all")
+
+
+def test_elements_of_another_tower_are_refused_everywhere():
+    # F_9 codes were once read as F_27 codes: chi(5) came out -1, and
+    # exact_count 0 and find_witness None for an F_9 quadratic
+    t27, t9 = build_extension(3, 1, 3), build_extension(3, 1, 2)
+    foreign = t9.element(5)
+    spec = QuadraticSpec.from_codes(t9, 1, 1, 2)
+    one = t27.element(1)
+    chi, psi = MultCharacter(t27, 2, 1), AddCharacter(t27, 1)
+    refused = [
+        lambda: chi(foreign),
+        lambda: psi(foreign),
+        lambda: char_sum(chi, trivial_mult(t27), psi, (1, foreign, 2)),
+        lambda: char_sum(chi, trivial_mult(t27), psi, spec),
+        lambda: exact_count(t27, spec, 26, 26, "all"),
+        lambda: find_witness(t27, spec),
+        lambda: verify_sieve_inequality(t27, spec, 2, "all"),
+        lambda: QuadraticSpec(one, foreign, one),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="different tower"):
+            call()
 
 
 def test_context_mask_bounds_hold_on_every_tabled_field():
