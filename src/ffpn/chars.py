@@ -19,6 +19,12 @@ bound on the product's rounding error cannot rule out of the result, so
 it still returns exactly the floats of one char_sum per (triple, f).  It
 draws admissible quadratics: a != 0 and b^2 != 4ac, 4 read in F_p
 (b^2 != ac in char 3, b != 0 in char 2).
+
+Sums that are equal by a proof are formed once.  orthogonality_audit sums
+each class of equal sums once: the characters j of one gcd(j, N) sum the
+same multiset of roots, and every nontrivial psi_delta the values of psi_0
+permuted, and fsum depends only on the multiset.  freeness_indicator keeps
+each target's alpha-free plan on the context and sums only over alpha.
 """
 
 from __future__ import annotations
@@ -128,6 +134,7 @@ class _CharContext:
         self._mult_tables = {}
         self._add_tables = {}
         self._delta_orders = None
+        self._plans = {"e": {}, "g": {}}  # freeness_indicator's, by kind and target
 
     def mult_table(self, d, j):
         key = (d, j)
@@ -256,11 +263,48 @@ def _phi_int(d):
     return multiplicative_stats(factorize(d)).phi
 
 
+def _e_plan(ctx, e):
+    """theta(e) and, per squarefree d | e, mu(d) / phi(d) and the j < d coprime to d."""
+    if e < 1 or ctx.tower.N % e:
+        raise ValueError("e must divide q^m - 1")
+    theta = float(multiplicative_stats(factorize(e)).theta)
+    return theta, [
+        (d, mu / _phi_int(d), np.array([j for j in range(d) if gcd(j, d) == 1], dtype=np.int64))
+        for d, mu in moebius_divisors(e)
+    ]
+
+
+def _g_plan(ctx, g):
+    """Theta(g) and, per squarefree divisor of g's radical, (-1)^s / Phi and its delta class."""
+    tp = ctx.tp
+    exps = tp.pf.exponents_of(g)
+    q = ctx.tower.q
+    support = [i for i, ex in enumerate(exps) if ex > 0]
+    Theta = float(fqpoly.poly_stats(q, [(tp.pf.degrees[i], exps[i]) for i in support]).Theta)
+    div_index = {ex: i for i, (_poly, ex) in enumerate(tp.divisors())}
+    nfac = len(tp.pf.degrees)
+    terms = []
+    for ssize in range(len(support) + 1):
+        for subset in combinations(support, ssize):
+            ex = tuple(1 if i in subset else 0 for i in range(nfac))
+            phi_f = fqpoly.poly_stats(q, [(tp.pf.degrees[i], 1) for i in subset]).Phi
+            terms.append(((-1) ** ssize / phi_f, ctx.delta_class(div_index[ex])))
+    return Theta, terms
+
+
 def freeness_indicator(kind, target, alpha) -> float:
     """rho_e (kind 'multiplicative'/'e') or kappa_g (kind 'additive'/'g').
 
     Moebius-weighted character averages; mathematically 1 on the free
     elements and 0 elsewhere, evaluated here in floating point.
+
+    All that does not depend on alpha is the target's plan, built once per
+    _CharContext and kept by fqpoly.memo_by_spec (e as an int, g by
+    value): theta or Theta, the Moebius coefficients, the j < d coprime to
+    d and the delta classes.  A call sums only over alpha, in the order of
+    the loops that built the plan: the j-sums left to right from 0, as
+    Python's sum() adds them, and each delta class through fsum, so the
+    value does not depend on whether the plan was kept.
     """
     if not isinstance(alpha, gf.FieldElement):
         raise TypeError("alpha must be a FieldElement")
@@ -269,37 +313,23 @@ def freeness_indicator(kind, target, alpha) -> float:
     code = alpha.code
 
     if kind in ("multiplicative", "e"):
-        e = int(target)
-        if t.N % e != 0:
-            raise ValueError("e must divide q^m - 1")
+        theta, terms = fqpoly.memo_by_spec(ctx._plans["e"], int(target), lambda e: _e_plan(ctx, e))
         if code == 0:
             raise ZeroElement("rho_e is defined on nonzero elements")
         k = t.dlog_code(code)
-        theta = float(multiplicative_stats(factorize(e)).theta)
         total = 0.0 + 0j
-        for d, mu in moebius_divisors(e):
-            roots = _roots_of_unity(d)
-            inner = sum(roots[(j * k) % d] for j in range(d) if gcd(j, d) == 1)
-            total += (mu / _phi_int(d)) * inner
+        for d, coef, js in terms:
+            # accumulate adds left to right from 0j, as sum() over j does
+            inner = np.add.accumulate(np.append(0j, _roots_of_unity(d)[js * k % d]))[-1]
+            total += coef * inner
         return theta * total.real
 
     if kind in ("additive", "g"):
-        tp = ctx.tp
-        exps = tp.pf.exponents_of(target)
-        q = t.q
-        support = [i for i, ex in enumerate(exps) if ex > 0]
-        Theta = float(fqpoly.poly_stats(q, [(tp.pf.degrees[i], exps[i]) for i in support]).Theta)
-        div_index = {ex: i for i, (_poly, ex) in enumerate(tp.divisors())}
-        nfac = len(tp.pf.degrees)
+        Theta, terms = fqpoly.memo_by_spec(ctx._plans["g"], target, lambda g: _g_plan(ctx, g))
         psi_at_alpha = ctx.add_values(code)  # psi_delta(alpha) = psi_alpha(delta), by delta
         total = 0.0 + 0j
-        for ssize in range(len(support) + 1):
-            for subset in combinations(support, ssize):
-                ex = tuple(1 if i in subset else 0 for i in range(nfac))
-                di = div_index[ex]
-                phi_f = fqpoly.poly_stats(q, [(tp.pf.degrees[i], 1) for i in subset]).Phi
-                vals = psi_at_alpha[ctx.delta_class(di)]
-                total += ((-1) ** ssize / phi_f) * _csum(vals)
+        for coef, deltas in terms:
+            total += coef * _csum(psi_at_alpha[deltas])
         return Theta * total.real
 
     raise ValueError(f"unknown indicator kind {kind!r}")
@@ -317,17 +347,22 @@ def orthogonality_audit(tower) -> float:
     a fixed nontrivial element (the two multiplicative relations evaluate
     the same sums, as do the two additive ones, by the symmetry of j*k and
     Tr(delta*alpha)).
+
+    It forms one sum per class of equal sums, not N - 1 + Q - 1 of them.
+    For 0 < j < N with gcd(j, N) = g, the terms roots[j k mod N], k < N,
+    are g copies of roots[g t], t < N / g, since j / g is a unit mod N / g.
+    For delta != 0, psi_delta(alpha) = psi_0(delta alpha) runs over
+    psi_0's values permuted.  fsum is correctly rounded, so a sum depends
+    only on the multiset of its terms: one sum per divisor g < N and one
+    over psi_0's values are bit for bit the sums of every j and delta,
+    and their worst is the same float.
     """
     ctx = char_context(tower)
-    t = tower
-    worst = 0.0
-    roots = _roots_of_unity(t.N)
-    for j in range(1, t.N):
-        s = _csum(roots[(j * np.arange(t.N)) % t.N])
-        worst = max(worst, abs(s))
-    for delta in range(1, t.Q):
-        worst = max(worst, abs(_csum(ctx.add_values(delta))))
-    return worst
+    N = tower.N
+    roots = _roots_of_unity(N)
+    sums = [_csum(np.tile(roots[::g], g)) for g in divisors_of(N) if g < N]
+    sums.append(_csum(ctx.psi0_vals))
+    return max([0.0, *map(abs, sums)])
 
 
 def order_triples(tower):

@@ -308,6 +308,26 @@ class PolyFactorization:
         return tuple(j for j, e in enumerate(self.exponents_of(g)) if e)
 
 
+def memo_by_spec(memo, spec, build):
+    """build(key) for a divisor spec (or an int), kept in memo by value.
+
+    The key is the spec, a list as its tuple.  A spec of another type than
+    None, int, str, tuple or FqPolynomial, or one that does not hash, is
+    built every time, and a build that raises stores nothing.
+    """
+    key = tuple(spec) if isinstance(spec, list) else spec
+    try:
+        return memo[key]
+    except KeyError:
+        by_value = isinstance(key, (type(None), int, str, tuple, FqPolynomial))
+    except TypeError:  # unhashable
+        by_value = False
+    value = build(key)
+    if by_value:
+        memo[key] = value
+    return value
+
+
 @lru_cache(maxsize=None)
 def factor_xm1(q, m):
     """x^m - 1 over F_q, m = m0 p^a: one distinct factor of degree |C| per

@@ -630,8 +630,11 @@ class FieldTower:
         log L (all mod N).  The first zech index runs down through k, so it
         is a reversed slice, not a gather.  alpha = 0 gives c.  The logs
         are int64 (numpy's index type, the fast gather) and updated in
-        place, and each temporary is dropped once dead: about 13 bytes per
-        element beside the int64 result.
+        place; the values are read at every log, garbage ones included, and
+        the zeros of a alpha^2 + b alpha (value c) and of the whole sum
+        (value 0) are set afterwards from two masks.  Each temporary is
+        dropped once dead: at most 14 bytes per element beside the int64
+        result.
         """
         N, zech = self.N, self.zech_table()
         la, lb, lc = (int(self.log[x]) for x in (a, b, c))
@@ -639,7 +642,7 @@ class FieldTower:
             return np.full(self.Q, c, dtype=np.int64)
         lead, step = (la, 2) if a else (lb, 1)
         L = np.arange(lead, lead + step * N, step, dtype=np.int64)
-        zero = None  # where a alpha^2 + b alpha = 0 with alpha != 0
+        zero = hole = None  # where a alpha^2 + b alpha is 0, and where it is -c
         if a and b:
             d = (lb - la) % N
             z = np.concatenate((zech[d::-1], zech[:d:-1]))  # zech[(d - k) mod N]
@@ -653,16 +656,15 @@ class FieldTower:
             np.subtract(lc, L, out=L)
             L += z
             L %= N
-            L[z < 0] = -1
+            hole = z < 0
             del z
-            if zero is not None:
-                L[zero] = lc
-        elif zero is not None:
-            L[zero] = -1
-        del zero
         vals = self.exp[L]
-        vals[L < 0] = 0
         del L
+        if hole is not None:
+            vals[hole] = 0
+        if zero is not None:
+            vals[zero] = c
+        del zero, hole
         out = np.empty(self.Q, dtype=np.int64)
         out[0] = c
         out[self.exp] = vals

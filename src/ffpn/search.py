@@ -20,6 +20,13 @@ it holds no Q x Q table.  Probes are counted as the plain per-triple scan
 counts them, budget cuts land on deterministic b'-block boundaries
 independent of worker count, and sweeps checkpoint to JSON for resume,
 through the state-file reader and writer of errors.py.
+
+Exact counts come from one table per quadratic, SearchContext.count_table:
+a bincount of each alpha's key free_bits[alpha] | free_bits[f(alpha)] << t
+| g_bits[alpha] << 2t, then a sum over supersets, so every (e1, e2, g)
+count of f is one entry.  exact_count and verify_sieve_inequality read it;
+a context keeps up to COUNT_TABLE_ENTRIES entries of tables, the oldest
+dropped first.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ SWEEP_BLOCK = 8  # b'-values per unit of work / budget granularity
 # share their fixed cost and release the GIL for longer, and a large-rad
 # batch stays one block
 SWEEP_BATCH_WORDS = 1 << 16
+# count-table entries a SearchContext keeps over all its quadratics: 8 MiB of
+# int64, and at least 8 tables, since one has at most 2^17 entries
+COUNT_TABLE_ENTRIES = 1 << 20
 # plain-scan probes; the largest fields under SWEEP_FIELD_LIMIT, (3,7) and (2187,1), need 2.09e10
 RESOLVE_BUDGET = 10**11
 # cover rows of this many words or more popcount in one reduce, not word by
@@ -64,9 +74,7 @@ class QuadraticSpec:
     c: gf.FieldElement
 
     def __post_init__(self):
-        tower = self.a.tower
-        if not tower.admissible(*tower.quad_codes(self)):
-            raise ValueError("inadmissible quadratic: needs a != 0 and b^2 != 4ac")
+        _quadratic_codes(self.a.tower, self)
 
     @classmethod
     def from_codes(cls, tower, a, b, c):
@@ -113,6 +121,7 @@ class SearchContext:
         self.rad = math.prod(self.primes)
         self._pair_tables = None
         self._g_masks = {}
+        self._count_tables = {}  # count_table's, by codes, oldest first
 
     def prime_mask_of(self, e):
         if e < 1 or self.tower.N % e != 0:
@@ -122,21 +131,52 @@ class SearchContext:
     def g_mask_of(self, g):
         """Bit j set <=> factor j of x^m - 1 is in the divisor spec g.
 
-        Memoized per spec by value, a list as its tuple; a spec of another
-        type or one that does not hash is evaluated every time, and a spec
-        that raises is never stored.
+        Memoized per spec by fqpoly.memo_by_spec: by value, a list as its
+        tuple; a spec of another type or one that does not hash is
+        evaluated every time, and a spec that raises is never stored.
         """
-        key = tuple(g) if isinstance(g, list) else g
-        try:
-            return self._g_masks[key]
-        except KeyError:
-            by_value = isinstance(key, (type(None), int, str, tuple, fqpoly.FqPolynomial))
-        except TypeError:  # unhashable
-            by_value = False
-        mask = sum(1 << j for j in self.tp.pf.factor_subset_of(key))
-        if by_value:
-            self._g_masks[key] = mask
-        return mask
+        return fqpoly.memo_by_spec(
+            self._g_masks, g, lambda key: sum(1 << j for j in self.tp.pf.factor_subset_of(key))
+        )
+
+    def count_table(self, codes):
+        """Every exact count of the admissible quadratic with codes (a, b, c), as one table.
+
+        table[gm, e2m, e1m] counts the alpha != 0 with f(alpha) != 0 whose
+        free_bits hold the prime mask e1m, whose g_bits hold the factor mask
+        gm, and with f(alpha)'s free_bits holding e2m.  One bincount of the
+        key free_bits[alpha] | free_bits[f(alpha)] << t | g_bits[alpha] << 2t
+        (t primes of N, s factors of x^m - 1) counts each key, with alpha = 0
+        and the zeros of f in a bin of their own that is dropped; a sum over
+        supersets, one pass per bit, then makes each entry the count of the
+        keys that hold its mask.  The table has 2^(2t + s) entries, at most
+        2^17 on a tabled field (7 primes and 3 factors on F_{211^3}, 8
+        primes and 1 factor on some prime fields).  Tables are kept by
+        codes, the oldest dropped once they would hold more than
+        COUNT_TABLE_ENTRIES entries.  An inadmissible f raises ValueError.
+        """
+        table = self._count_tables.get(codes)
+        if table is None:
+            _quadratic_codes(self.tower, codes)
+            t, s = len(self.primes), len(self.tp.pf.degrees)
+            size = 1 << (2 * t + s)
+            fv = self.tower.quad_values(*codes)
+            key = self.free_bits[fv].astype(np.min_scalar_type(size))
+            key <<= t
+            key |= self.free_bits
+            key |= np.left_shift(self.g_bits, 2 * t, dtype=key.dtype)
+            key[fv == 0] = size  # the zeros of f, and alpha = 0, go to the dropped bin
+            key[0] = size
+            del fv
+            flat = np.bincount(key, minlength=size + 1)[:size]
+            for b in range(2 * t + s):
+                pairs = flat.reshape(-1, 2, 1 << b)
+                pairs[:, 0] += pairs[:, 1]
+            table = flat.reshape(1 << s, 1 << t, 1 << t)
+            if len(self._count_tables) >= COUNT_TABLE_ENTRIES // size:
+                del self._count_tables[next(iter(self._count_tables))]
+            self._count_tables[codes] = table
+        return table
 
     def pair_tables(self):
         """(zx, rows): the sweep kernel's log-indexed tables, O(N) entries each.
@@ -180,25 +220,15 @@ def enumerate_primitive_normal(tower):
     return [gf.FieldElement(tower, int(c)) for c in ctx.pn_codes]
 
 
-def _count_masks(ctx, fvals, e1m, e2m, gm):
-    """Count alpha != 0, f(alpha) != 0 passing the three freeness masks."""
-    fv = fvals[1:]
-    dom = fv != 0
-    ok = (ctx.free_bits[1:] & e1m) == e1m
-    ok &= (ctx.g_bits[1:] & gm) == gm
-    ok &= dom
-    sel = fv[ok]
-    return int(np.count_nonzero((ctx.free_bits[sel] & e2m) == e2m))
-
-
-def _quadratic(tower, f):
-    """f admitted as a QuadraticSpec (a != 0, b^2 != 4ac), else ValueError.
+def _quadratic_codes(tower, f):
+    """Codes (a, b, c) of f if it is admissible (a != 0, b^2 != 4ac), else ValueError.
 
     f is a QuadraticSpec or a triple of codes, elements or digit vectors.
     """
-    if isinstance(f, QuadraticSpec):
-        return f
-    return QuadraticSpec.from_codes(tower, *f)
+    codes = tower.quad_codes(f)
+    if not tower.admissible(*codes):
+        raise ValueError("inadmissible quadratic: needs a != 0 and b^2 != 4ac")
+    return codes
 
 
 def exact_count(tower, f, e1, e2, g) -> int:
@@ -207,18 +237,18 @@ def exact_count(tower, f, e1, e2, g) -> int:
     alpha = 0 and the zeros of f are excluded from the domain.  f must be
     admissible, as for find_witness.  e1, e2 are divisors of q^m - 1; g is
     a divisor spec of x^m - 1 ('all', 1, an FqPolynomial, or factor indices).
+    The count is an entry of f's SearchContext.count_table.
     """
     ctx = search_context(tower)
-    fvals = tower.quad_values(*tower.quad_codes(_quadratic(tower, f)))
-    return _count_masks(
-        ctx, fvals, ctx.prime_mask_of(e1), ctx.prime_mask_of(e2), ctx.g_mask_of(g)
-    )
+    codes = tower.quad_codes(f)
+    e1m, e2m, gm = ctx.prime_mask_of(e1), ctx.prime_mask_of(e2), ctx.g_mask_of(g)
+    return int(ctx.count_table(codes)[gm, e2m, e1m])
 
 
 def find_witness(tower, f):
     """First primitive normal alpha (by dlog) with f(alpha) primitive."""
     ctx = search_context(tower)
-    a, b, c = tower.quad_codes(_quadratic(tower, f))
+    a, b, c = _quadratic_codes(tower, f)
     for code in ctx.pn_codes:
         val = tower.add_codes(
             tower.add_codes(
@@ -235,30 +265,38 @@ def find_witness(tower, f):
 def verify_sieve_inequality(tower, f, d, g) -> dict:
     """Both sides of the sieve inequality with exact counts.
 
-    d: divisor of q^m - 1 (core primes); g: core divisor spec of x^m - 1.
-    The remaining primes/factors are the complements.  Returns lhs, rhs,
-    the term breakdown, and whether lhs >= rhs.  f must be admissible
-    (a != 0, b^2 != 4ac), as for exact_count.
+    d: positive divisor of q^m - 1 (core primes), else ValueError; g: core
+    divisor spec of x^m - 1.  The remaining primes/factors are the
+    complements.  Returns lhs, rhs, the term breakdown, and whether
+    lhs >= rhs.  f must be admissible (a != 0, b^2 != 4ac), as for
+    exact_count.  Every count is an entry of f's count_table.
     """
     ctx = search_context(tower)
-    fvals = tower.quad_values(*tower.quad_codes(_quadratic(tower, f)))
-    dm = ctx.prime_mask_of(d) if d > 1 else 0
+    codes = tower.quad_codes(f)
+    if d < 1 or tower.N % d:
+        raise ValueError("d must be a positive divisor of q^m - 1")
+    dm = ctx.prime_mask_of(d)
     gm = ctx.g_mask_of(g)
+    table = ctx.count_table(codes)
+
+    def count(e1m, e2m, gmask):
+        return int(table[gmask, e2m, e1m])
+
     rem_primes = [i for i, p in enumerate(ctx.primes) if d % p != 0]
     rem_factors = [j for j in range(len(ctx.tp.pf.degrees)) if not (gm >> j) & 1]
     n = len(rem_primes)
     k = len(rem_factors)
-    full = _count_masks(ctx, fvals, ctx.all_prime_mask, ctx.all_prime_mask, ctx.all_g_mask)
-    base = _count_masks(ctx, fvals, dm, dm, gm)
+    full = count(ctx.all_prime_mask, ctx.all_prime_mask, ctx.all_g_mask)
+    base = count(dm, dm, gm)
     terms = []
     rhs = -(2 * n + k - 1) * base
     for i in rem_primes:
-        t1 = _count_masks(ctx, fvals, dm | (1 << i), dm, gm)
-        t2 = _count_masks(ctx, fvals, dm, dm | (1 << i), gm)
+        t1 = count(dm | (1 << i), dm, gm)
+        t2 = count(dm, dm | (1 << i), gm)
         terms.append((f"p={ctx.primes[i]}", t1, t2))
         rhs += t1 + t2
     for j in rem_factors:
-        t3 = _count_masks(ctx, fvals, dm, dm, gm | (1 << j))
+        t3 = count(dm, dm, gm | (1 << j))
         terms.append((f"g_{j}", t3, None))
         rhs += t3
     return {

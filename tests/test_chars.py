@@ -4,6 +4,7 @@ import math
 import random
 import threading
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,11 +27,12 @@ from ffpn.chars import (
     trivial_mult,
     weil_audit,
 )
+from ffpn import fqpoly, gf
 from ffpn.errors import SizeBudgetExceeded, ZeroElement
 from ffpn.fqpoly import FqPolynomial, poly_stats, tower_poly
 from ffpn.gf import FieldTower, build_extension, find_generator, is_e_free
 from ffpn.fqpoly import is_g_free
-from ffpn.numtheory import divisors_of
+from ffpn.numtheory import divisors_of, factorize, moebius_divisors, multiplicative_stats
 
 
 def test_mult_char_basics():
@@ -346,3 +348,116 @@ def test_weil_audit_holds_one_block_per_operand():
     finally:
         tracemalloc.stop()
     assert peak <= 5_300_000 + 2 * chars._WEIL_BLOCK_TERMS * 16
+
+
+def _orthogonality_loop(t):
+    # the unreduced audit: one fsum per character j in [1, N) and delta in [1, Q)
+    ctx = char_context(t)
+    roots = chars._roots_of_unity(t.N)
+    mult = {j: chars._csum(roots[(j * np.arange(t.N)) % t.N]) for j in range(1, t.N)}
+    add = [chars._csum(ctx.add_values(delta)) for delta in range(1, t.Q)]
+    return mult, add
+
+
+def _bits(s):
+    return s.real.hex(), s.imag.hex()
+
+
+@pytest.mark.parametrize(
+    "p,r,m",
+    [(2, 1, k) for k in range(1, 8)]
+    + [(3, 1, k) for k in range(1, 8)]
+    + [(3, 2, 1), (3, 2, 2), (3, 2, 3), (5, 1, 2), (7, 1, 2)],
+)
+def test_orthogonality_audit_equals_the_loop_over_every_character(p, r, m):
+    t = build_extension(p, r, m)
+    mult, add = _orthogonality_loop(t)
+    # the audit sums each class once: every j of one gcd(j, N) gives one
+    # float, and every delta != 0 another
+    by_gcd = {}
+    for j, s in mult.items():
+        by_gcd.setdefault(math.gcd(j, t.N), set()).add(_bits(s))
+    assert all(len(sums) == 1 for sums in by_gcd.values())
+    assert len({_bits(s) for s in add}) == 1
+    worst = 0.0
+    for s in [*mult.values(), *add]:
+        worst = max(worst, abs(s))
+    assert orthogonality_audit(t).hex() == worst.hex()
+
+
+def _indicator_per_call(kind, target, alpha):
+    # freeness_indicator before its plans: theta, the Moebius terms and the
+    # delta classes rebuilt on every call
+    t = alpha.tower
+    ctx = char_context(t)
+    code = alpha.code
+    if kind == "e":
+        e = int(target)
+        k = t.dlog_code(code)
+        theta = float(multiplicative_stats(factorize(e)).theta)
+        total = 0.0 + 0j
+        for d, mu in moebius_divisors(e):
+            roots = chars._roots_of_unity(d)
+            inner = sum(roots[(j * k) % d] for j in range(d) if math.gcd(j, d) == 1)
+            total += (mu / chars._phi_int(d)) * inner
+        return theta * total.real
+    tp = ctx.tp
+    exps = tp.pf.exponents_of(target)
+    q = t.q
+    support = [i for i, ex in enumerate(exps) if ex > 0]
+    Theta = float(fqpoly.poly_stats(q, [(tp.pf.degrees[i], exps[i]) for i in support]).Theta)
+    div_index = {ex: i for i, (_poly, ex) in enumerate(tp.divisors())}
+    nfac = len(tp.pf.degrees)
+    psi_at_alpha = ctx.add_values(code)
+    total = 0.0 + 0j
+    for ssize in range(len(support) + 1):
+        for subset in combinations(support, ssize):
+            ex = tuple(1 if i in subset else 0 for i in range(nfac))
+            phi_f = fqpoly.poly_stats(q, [(tp.pf.degrees[i], 1) for i in subset]).Phi
+            vals = psi_at_alpha[ctx.delta_class(div_index[ex])]
+            total += ((-1) ** ssize / phi_f) * chars._csum(vals)
+    return Theta * total.real
+
+
+@pytest.mark.parametrize("p,r,m", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2), (5, 1, 2), (2, 1, 4)])
+def test_indicator_equals_the_per_call_routine(p, r, m):
+    t = build_extension(p, r, m)
+    targets = [("e", e) for e in divisors_of(t.N)]
+    targets += [("g", g) for g, _exps in tower_poly(t).divisors()]
+    for kind, target in targets:
+        for code in range(1 if kind == "e" else 0, t.Q):
+            el = t.element(code)
+            got = freeness_indicator(kind, target, el)
+            assert float(got).hex() == float(_indicator_per_call(kind, target, el)).hex()
+
+
+def test_indicator_plans_are_kept_by_value_and_refusals_are_not(monkeypatch):
+    monkeypatch.setattr(gf, "_tower_cache", {})
+    t = build_extension(3, 1, 4)  # a fresh tower, so a fresh, empty plan memo
+    field = tower_poly(t).pf.field
+    built = []
+    for name in ("_e_plan", "_g_plan"):
+        real = getattr(chars, name)
+        monkeypatch.setattr(chars, name, lambda ctx, spec, real=real: built.append(spec) or real(ctx, spec))
+    el = t.element(5)
+    x2p1 = (1, 0, 1)  # x^2 + 1, factor 2 of x^4 - 1
+    specs = [("e", 80), ("e", 16), ("g", "all"), ("g", [0, 2]), ("g", (0, 2)),
+             ("g", FqPolynomial(field, x2p1)), ("g", FqPolynomial(field, x2p1))]
+    want = [freeness_indicator(kind, target, el) for kind, target in specs]
+    assert [freeness_indicator(kind, target, el) for kind, target in specs] == want
+    # [0, 2] and (0, 2) are one key, and so are the two equal polynomials
+    assert len(built) == 5
+    # an unhashable spec is planned every time; a refusal is raised every time
+    for _ in range(2):
+        assert freeness_indicator("g", iter([0, 2]), el) == want[3]
+        with pytest.raises(ValueError, match="e must divide"):
+            freeness_indicator("e", 3, el)
+    assert len(built) == 9 and 3 not in char_context(t)._plans["e"]
+
+
+@pytest.mark.parametrize("e", [0, -80, -1, 3])
+def test_indicator_refuses_e_not_a_positive_divisor(e):
+    # e = 0 once raised ZeroDivisionError, and e = -80 factorize's "n must be >= 1"
+    t = build_extension(3, 1, 4)
+    with pytest.raises(ValueError, match=r"e must divide q\^m - 1"):
+        freeness_indicator("e", e, t.element(5))

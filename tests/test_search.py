@@ -813,15 +813,21 @@ def test_context_mask_bounds_hold_on_every_tabled_field():
     # uint32) for every Q <= TABLE_LIMIT.  For a prime field N < 2^24 is below
     # the product of the first nine primes, and x - 1 is one factor.
     assert math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23]) > TABLE_LIMIT
-    most_primes = most_factors = 0
+    # A count table has 2^(2t + s) entries for t primes and s factors: at
+    # most 2^17 (F_{211^3}, and prime fields of 8 primes).
+    most_primes = most_factors = most_bits = 0
     for p in filter(is_prime, range(2, math.isqrt(TABLE_LIMIT) + 1)):
         n = 2
         while p**n <= TABLE_LIMIT:
-            most_primes = max(most_primes, len(factorize(p**n - 1).primes()))
+            t = len(factorize(p**n - 1).primes())
+            most_primes = max(most_primes, t)
             for m in divisors_of(n):
-                most_factors = max(most_factors, len(factor_xm1(p ** (n // m), m).degrees))
+                s = len(factor_xm1(p ** (n // m), m).degrees)
+                most_factors = max(most_factors, s)
+                most_bits = max(most_bits, 2 * t + s)
             n += 1
     assert most_primes <= 8 and most_factors <= 24
+    assert most_bits == 17 and search_mod.COUNT_TABLE_ENTRIES >> 17 >= 8
 
 
 def test_context_and_count_hold_no_wide_temporaries(monkeypatch):
@@ -883,3 +889,58 @@ def test_g_mask_of_memoizes_by_value_and_stores_no_refusal(monkeypatch):
             ctx.g_mask_of([3])
         assert ctx.g_mask_of(iter([0, 2])) == want[3]
     assert len(calls) == 9 and (3,) not in ctx._g_masks
+
+
+def _masked_count(ctx, fvals, e1m, e2m, gm):
+    # the direct count that count_table replaced: alpha != 0 and f(alpha) != 0
+    # passing the three freeness masks
+    fv = fvals[1:]
+    ok = (ctx.free_bits[1:] & e1m) == e1m
+    ok &= (ctx.g_bits[1:] & gm) == gm
+    ok &= fv != 0
+    return int(np.count_nonzero((ctx.free_bits[fv[ok]] & e2m) == e2m))
+
+
+@pytest.mark.parametrize("p,r,m", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (2, 1, 6)])
+def test_count_table_equals_direct_masked_counts(p, r, m):
+    t = build_extension(p, r, m)
+    ctx = search_context(t)
+    rng = random.Random(p * 100 + m)
+    fs = [tuple(rng.randrange(1 if i == 0 else 0, t.Q) for i in range(3)) for _ in range(40)]
+    fs = [f for f in fs if t.admissible(*f)][:5]
+    # (x - u)(x - v) with u != v nonzero: two zeros of f in the domain
+    u, v = 1, int(t.exp[1])
+    fs.append((1, t.neg_code(t.add_codes(u, v)), t.mul_codes(u, v)))
+    nt, ns = len(ctx.primes), len(ctx.tp.pf.degrees)
+    for f in fs:
+        fvals = t.quad_values(*f)
+        table = ctx.count_table(f)
+        assert table.shape == (1 << ns, 1 << nt, 1 << nt)
+        for gm, e2m, e1m in np.ndindex(table.shape):
+            assert table[gm, e2m, e1m] == _masked_count(ctx, fvals, e1m, e2m, gm)
+    assert np.count_nonzero(fvals[1:] == 0) == 2
+
+
+def test_count_tables_are_kept_up_to_the_entry_bound(monkeypatch):
+    t = build_extension(3, 1, 4)
+    ctx = search_mod.SearchContext(t)  # its own, empty memo
+    size = 1 << (2 * len(ctx.primes) + len(ctx.tp.pf.degrees))
+    monkeypatch.setattr(search_mod, "COUNT_TABLE_ENTRIES", 3 * size + size // 2)
+    fs = [(1, 0, 1), (1, 0, 2), (2, 1, 0), (5, 7, 11)]
+    tables = [ctx.count_table(f) for f in fs]
+    assert list(ctx._count_tables) == fs[1:]  # three fit: the oldest is dropped
+    assert ctx.count_table(fs[3]) is tables[3]
+    assert np.array_equal(ctx.count_table(fs[0]), tables[0])
+    assert list(ctx._count_tables) == fs[2:] + fs[:1]
+    with pytest.raises(ValueError, match="inadmissible"):
+        ctx.count_table((1, 1, 1))
+    assert (1, 1, 1) not in ctx._count_tables
+
+
+@pytest.mark.parametrize("d", [0, -80, -1, 3, 160])
+def test_verify_sieve_inequality_refuses_d_not_a_positive_divisor(d):
+    # d = 0 and d = -80 once read as "every prime in the core": lhs 8, rhs 32
+    t = build_extension(3, 1, 4)
+    with pytest.raises(ValueError, match=r"d must be a positive divisor of q\^m - 1"):
+        verify_sieve_inequality(t, (1, 1, 2), d, "all")
+    assert verify_sieve_inequality(t, (1, 1, 2), 80, "all")["rhs"] == 8
